@@ -174,27 +174,8 @@ def metrics_table(snapshot, title: Optional[str] = None) -> str:
         ["swap p95 ms", swap.get("p95_ms", 0.0)],
         ["flow evictions", snapshot.get("flow_evictions", 0)],
     ]
-    batches = snapshot.get("batches", {})
-    if batches.get("count"):
-        summary.append(
-            ["batches (mean occ.)",
-             f"{batches.get('count', 0)} "
-             f"({batches.get('mean_occupancy', 0.0):.2f})"])
     lines.append("")
     lines.append(ascii_table(["counter", "value"], summary))
-    scanners = snapshot.get("scanners", {})
-    if scanners:
-        rows = [
-            [gen_id, agg.get("scanner", "?"), agg.get("batches", 0),
-             agg.get("steps", 0), agg.get("cold_steps", 0),
-             agg.get("escapes", 0),
-             f"{agg.get('hot_hit_rate', 1.0):.4f}"]
-            for gen_id, agg in sorted(scanners.items())]
-        lines.append("")
-        lines.append(ascii_table(
-            ["generation", "scanner", "batches", "steps", "cold steps",
-             "escapes", "hot hit rate"],
-            rows, title="hot/cold scanner stats by generation"))
     return "\n".join(lines)
 
 

@@ -154,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["lru", "reject"],
                        help="policy when the flow table is full "
                             "(default lru)")
-    serve.add_argument("--batch-max", type=int, default=1,
-                       help="coalesce up to N concurrent count-only "
-                            "scans into one fused pass (1 = off)")
-    serve.add_argument("--batch-wait", type=float, default=0.002,
-                       help="seconds a partial batch waits before "
-                            "flushing (default 0.002)")
     serve.add_argument("--cache", metavar="DIR",
                        help="artifact-cache directory — makes RELOAD of "
                             "a known rule set a warm swap")
@@ -192,10 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="in-process daemon: run the gateway + "
                            "worker-pool mode with N processes (0 = "
                            "single-process daemon)")
-    load.add_argument("--batch-max", type=int, default=1,
-                      help="daemon cross-request batching knob "
-                           "(in-process daemon only; 1 = off)")
-    load.add_argument("--batch-wait", type=float, default=0.002)
     load.add_argument("--connections", type=int, default=4,
                       help="closed-loop client connections (default 4)")
     load.add_argument("--requests", type=int, default=200,
@@ -396,7 +386,6 @@ def _cmd_serve(args) -> int:
         admission=args.admission, request_timeout=args.timeout,
         drain_timeout=args.drain_timeout, max_flows=args.max_flows,
         session_policy=args.session_eviction,
-        batch_max=args.batch_max, batch_wait=args.batch_wait,
         pool_workers=args.pool_workers)
     tenants = None
     if args.tenants_json:
@@ -469,9 +458,7 @@ def _cmd_bench_load(args) -> int:
     else:
         config = ServiceConfig(
             backend=None if args.backend == "auto" else args.backend,
-            workers=args.workers, batch_max=args.batch_max,
-            batch_wait=args.batch_wait,
-            pool_workers=args.pool_workers)
+            workers=args.workers, pool_workers=args.pool_workers)
         handle = ServiceThread(ScanService(patterns,
                                            config=config)).start()
         host, port = handle.host, handle.port

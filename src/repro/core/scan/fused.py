@@ -383,7 +383,7 @@ class FusedScanner:
         state.  ``start_states`` is per-DFA (shape ``(D,)``) — every
         stream of DFA ``d`` enters at that DFA's state.  This is the
         paper's 16-interleaved-streams idea with the DFA dimension
-        fused in — the service batch executor's engine.
+        fused in.
         """
         nstreams = len(streams)
         if not nstreams:

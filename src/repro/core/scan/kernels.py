@@ -1,8 +1,8 @@
 """The ScanKernel protocol: every inner loop behind one interface.
 
 A *kernel* adapts one scanner family (flat, fused, hotcold, hotcold2)
-to a uniform surface so the backends, the sharded pool, the service
-batcher and the differential tests stop branching on scanner types:
+to a uniform surface so the backends, the sharded pool, the prefilter
+verifier and the differential tests stop branching on scanner types:
 
 ``table``
     The kernel's table object(s) — introspection and size accounting.
@@ -20,8 +20,7 @@ batcher and the differential tests stop branching on scanner types:
     Ragged multi-stream totals: ``(totals, finals)`` with ``totals``
     shaped ``(num_streams,)`` (whole-dictionary, weighted) and
     ``finals`` shaped ``(num_slices, num_streams)`` in slice-local
-    states — the service batcher's and the prefilter verifier's
-    engine.
+    states — the prefilter verifier's engine.
 ``stats()`` / ``reset_stats()``
     Scanner-side counters (hot-hit rate, escapes, ...); empty for
     kernels without accounting.

@@ -9,11 +9,16 @@ Layering:
 
 * the event loop owns connections, framing and admission control —
   it never touches a DFA;
-* scans execute on a thread pool (numpy releases the GIL in the hot
-  gather loops), one-shot ``SCAN`` requests through the PR-3 backend
-  registry (:func:`repro.core.backends.execute`), ``FLOW`` packets
-  through the leased generation's
-  :class:`~repro.service.sessions.SessionScanner`;
+* the data verbs (``SCAN``, ``FLOW``, ``CLOSE_FLOW``) have one
+  implementation, :class:`~repro.service.worker.DataPlane`: one-shot
+  scans through the backend registry
+  (:func:`repro.core.backends.execute`), flow packets through the
+  leased generation's :class:`~repro.service.sessions.SessionScanner`.
+  Every data verb takes the same steps in either mode — resolve the
+  tenant, build the op's ``meta``, pick a target, admit, call,
+  release.  In-process the target is the daemon's own ``DataPlane``
+  on a scan thread pool (numpy releases the GIL in the hot gather
+  loops); in pool mode it is a worker process;
 * reloads compile on a dedicated single thread so a large dictionary
   build can never starve the scan pool, then promote atomically via
   :class:`~repro.service.registry.DictionaryRegistry`;
@@ -27,24 +32,16 @@ Layering:
   default registry exactly as before — the differential suite pins
   the rule-free tenant path to it bit for bit).
 
-**Admission control**: at most ``max_pending`` scan requests are in
-flight; beyond that the daemon either rejects immediately with a
-``busy`` error (``admission="reject"``, the default — shed load early,
-the NIDS stance) or queues the request up to ``request_timeout``
-seconds (``admission="wait"``, the batch stance).  **Graceful drain**:
-shutdown stops accepting, lets in-flight requests finish (bounded by
-``drain_timeout``), then closes connections and releases pools.
-
-**Cross-request batching**: with ``batch_max > 1`` the daemon coalesces
-concurrently queued count-only ``SCAN`` requests into one multi-stream
-scan (:meth:`~repro.core.backends.ScanContext.batch_totals` — the
-cache-resident hot/cold union table when the dictionary supports one,
-else the stacked fused grid) — the paper's 16-interleaved-streams trick
-applied across clients instead of within one buffer.  A batch flushes when ``batch_max`` requests are queued or
-``batch_wait`` seconds after the first one arrived, whichever comes
-first; each request still gets its own admission slot, response header
-and per-request metrics, plus batch-occupancy counters under
-``STATS.metrics.batches``.
+**Admission control**: a data verb is admitted only while its target
+has fewer than its cap of requests in flight — ``max_pending`` for the
+in-process data plane, ``per_worker_cap`` (``max_pending`` split
+evenly) for a pool worker.  Beyond that the daemon either rejects
+immediately with a ``busy`` error (``admission="reject"``, the default
+— shed load early, the NIDS stance) or queues the request up to
+``request_timeout`` seconds (``admission="wait"``, the batch stance).
+**Graceful drain**: shutdown stops accepting, lets in-flight requests
+finish (bounded by ``drain_timeout``), then closes connections and
+releases pools.
 
 **Pool mode** (``pool_workers > 0``): the daemon becomes a gateway in
 front of a fleet of scan worker *processes* — the paper's PPE/SPE
@@ -57,32 +54,29 @@ process so the fleet scales across cores without sharing a GIL.
 Stateless ``SCAN`` stripes to the idlest worker; ``FLOW`` pins to the
 hash owner; ``RELOAD`` fans a generation swap out to every worker,
 which leases the new tables before the gateway retires the old
-segment; ``STATS`` merges per-worker histograms bucket-wise.  The
-in-process batcher is disabled — parallelism comes from the fleet.
+segment; ``STATS`` merges per-worker histograms bucket-wise, and at
+shutdown every worker's final metrics fold into the gateway's.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..core.backends import BackendError, ScanRequest, execute, get_backend
-from ..core.compiled import CompileError
-from ..core.flows import FlowError
+from ..core.backends import get_backend
 from ..core.scan.bundle import bundle_from_compiled
-from ..policy.rules import PolicyError, RuleSet
-from ..policy.tenants import Tenant, TenantError, TenantManager
+from ..policy.rules import RuleSet
+from ..policy.tenants import Tenant, TenantManager
 from .metrics import ServiceMetrics
-from .pool import WorkerCrashError, WorkerOpError, WorkerPool
+from .pool import WorkerCrashError, WorkerPool
 from .protocol import (MAX_FRAME_BYTES, RELOAD_STRATEGY, Frame,
                        ProtocolError, decode_patterns, encode_frame,
                        split_body)
-from .registry import DictionaryRegistry, RegistryError
+from .registry import DictionaryRegistry
+from .worker import DataPlane, error_reply
 
 __all__ = ["ServiceConfig", "ScanService", "ServiceThread"]
 
@@ -115,12 +109,6 @@ class ServiceConfig:
     #: Cap on match events returned per SCAN response.
     max_events: int = 1000
     max_frame_bytes: int = MAX_FRAME_BYTES
-    #: Cross-request micro-batching: coalesce up to this many
-    #: concurrently queued count-only SCANs into one fused
-    #: ``run_streams`` call (1 = disabled).
-    batch_max: int = 1
-    #: Seconds a partial batch waits for company before flushing.
-    batch_wait: float = 0.002
     #: Worker processes behind the gateway (0 = serve in-process).
     #: Pool mode compiles dictionaries once in the gateway and attaches
     #: every worker to the same shared-memory tables; flows stay
@@ -138,87 +126,35 @@ class ServiceConfig:
             raise ValueError("scan_threads must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be positive")
-        if self.batch_wait < 0:
-            raise ValueError("batch_wait must be non-negative")
         if self.pool_workers < 0:
             raise ValueError("pool_workers must be >= 0")
 
 
-class _ScanBatcher:
-    """Coalesce concurrently queued SCAN payloads into one fused
-    multi-stream scan.
+class _InProcessTarget:
+    """The in-process counterpart of a pool
+    :class:`~repro.service.pool.WorkerHandle`: the daemon's own
+    :class:`DataPlane` run on the scan thread pool, behind the same
+    ``call``/``depth``/``alive`` surface, so admission and the data
+    verbs never ask which mode they serve in."""
 
-    All state lives on the event loop (no locks): ``submit`` appends the
-    payload and either flushes a full batch immediately or arms a
-    ``batch_wait`` timer on the first member.  A flush takes one
-    registry lease and runs the whole batch as interleaved lanes of a
-    single multi-stream scan on the scan pool —
-    :meth:`ScanContext.batch_totals` routes it through the
-    cache-resident hot/cold union table when the dictionary supports
-    one, else the stacked fused grid; the counts are bit-identical to
-    scanning each payload alone either way.
-    """
+    alive = True
 
-    def __init__(self, service: "ScanService") -> None:
-        self._service = service
-        self._max = service.config.batch_max
-        self._wait = service.config.batch_wait
-        self._items: list = []          # (payload, future) pairs
-        self._timer: Optional[asyncio.TimerHandle] = None
+    def __init__(self, data: DataPlane, executor: ThreadPoolExecutor
+                 ) -> None:
+        self._ops = {"scan": data.scan, "flow": data.flow,
+                     "close_flow": data.close_flow}
+        self._executor = executor
+        self.depth = 0
 
-    def submit(self, payload: bytes) -> "asyncio.Future":
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        self._items.append((payload, future))
-        if len(self._items) >= self._max:
-            self.flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self._wait, self.flush)
-        return future
+    def call(self, kind: str, meta: Dict, payload=b"") -> "asyncio.Future":
+        self.depth += 1
+        fut = asyncio.get_running_loop().run_in_executor(
+            self._executor, self._ops[kind], meta, payload)
+        fut.add_done_callback(self._done)
+        return fut
 
-    def flush(self) -> None:
-        """Launch the queued batch now (idempotent when empty)."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        items, self._items = self._items, []
-        if items:
-            asyncio.get_running_loop().create_task(self._run(items))
-
-    @staticmethod
-    def _scan(ctx, payloads):
-        totals = ctx.batch_totals(payloads)
-        return totals, ctx.last_batch_scan_stats
-
-    async def _run(self, items) -> None:
-        service = self._service
-        payloads = [payload for payload, _ in items]
-        loop = asyncio.get_running_loop()
-        try:
-            with service.registry.lease() as gen:
-                t0 = time.perf_counter()
-                totals, scan_stats = await loop.run_in_executor(
-                    service._scan_pool,
-                    partial(self._scan, gen.ctx, payloads))
-                seconds = time.perf_counter() - t0
-                service.metrics.record_batch(len(items))
-                if scan_stats:
-                    service.metrics.record_scanner_stats(gen.gen_id,
-                                                         scan_stats)
-                for (_, future), matches in zip(items, totals):
-                    if not future.done():
-                        future.set_result({
-                            "generation": gen.gen_id,
-                            "matches": int(matches),
-                            "seconds": seconds,
-                            "batch_size": len(items),
-                        })
-        except Exception as exc:
-            for _, future in items:
-                if not future.done():
-                    future.set_exception(exc)
+    def _done(self, _fut) -> None:
+        self.depth -= 1
 
 
 class ScanService:
@@ -263,10 +199,12 @@ class ScanService:
         self._connections: set = set()
         self._pending = 0
         self._draining = False
-        self._cond: Optional[asyncio.Condition] = None
+        # Replaced and set whenever a slot frees, so every waiter on
+        # it re-checks its condition (admission slot or drain).
+        self._slot_freed: Optional[asyncio.Event] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._batcher: Optional[_ScanBatcher] = None
         self._pool: Optional[WorkerPool] = None
+        self._local: Optional[_InProcessTarget] = None
         self._verbs = {
             "PING": self._verb_ping,
             "SCAN": self._verb_scan,
@@ -292,20 +230,21 @@ class ScanService:
     async def start(self) -> None:
         """Bind and start serving; returns once the socket is listening
         (``self.port`` then holds the real port, even for port 0)."""
-        self._cond = asyncio.Condition()
+        self._slot_freed = asyncio.Event()
         self._stopped = asyncio.Event()
         if self.config.pool_workers > 0:
             # Fork the fleet before anything else: a forked child must
             # not inherit executor threads or the listening socket.
-            # The batcher stays off — in pool mode concurrent requests
-            # parallelize across worker processes instead.
             self._pool = WorkerPool(self)
             await self._pool.start()
-        elif self.config.batch_max > 1:
-            self._batcher = _ScanBatcher(self)
         self._scan_pool = ThreadPoolExecutor(
             max_workers=self.config.scan_threads,
             thread_name_prefix="repro-scan")
+        if self._pool is None:
+            self._local = _InProcessTarget(
+                DataPlane(self.registry, self.tenants, self.metrics,
+                          self.config.max_events),
+                self._scan_pool)
         self._reload_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-reload")
         self._server = await asyncio.start_server(
@@ -331,10 +270,9 @@ class ScanService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._batcher is not None:
-            self._batcher.flush()   # don't leave admitted scans queued
         try:
-            await asyncio.wait_for(self._wait_drained(),
+            await asyncio.wait_for(
+                self._wait_until(lambda: self._pending == 0),
                                    timeout=self.config.drain_timeout)
         except asyncio.TimeoutError:
             pass
@@ -348,9 +286,9 @@ class ScanService:
         self.tenants.close()
         self._stopped.set()
 
-    async def _wait_drained(self) -> None:
-        async with self._cond:
-            await self._cond.wait_for(lambda: self._pending == 0)
+    async def _wait_until(self, ready) -> None:
+        while not ready():
+            await self._slot_freed.wait()
 
     # -- connection handling -------------------------------------------------------
 
@@ -422,19 +360,6 @@ class ScanService:
         self.metrics.record_request(verb)
         try:
             return await handler(rid, frame)
-        except (BackendError, ProtocolError, RegistryError,
-                CompileError, PolicyError, TenantError,
-                ValueError) as exc:
-            self.metrics.record_error()
-            return self._error(rid, "bad-request", str(exc))
-        except FlowError as exc:
-            self.metrics.record_error()
-            return self._error(rid, "flow-error", str(exc))
-        except WorkerOpError as exc:
-            # A pool worker already classified the failure; echo its
-            # code so clients see the same taxonomy either mode.
-            self.metrics.record_error()
-            return self._error(rid, exc.code, str(exc))
         except WorkerCrashError as exc:
             # Accounted loss, never silent: the rejection counter
             # carries it and the client gets a retryable error — the
@@ -443,28 +368,37 @@ class ScanService:
             self.metrics.record_rejected()
             return self._error(rid, "worker-crash", str(exc))
         except Exception as exc:  # keep the daemon up, report the verb
+            # One taxonomy for both modes: a pool worker's failure
+            # arrives already classified and its code is echoed.
             self.metrics.record_error()
-            return self._error(rid, "internal",
-                               f"{type(exc).__name__}: {exc}")
+            return {"id": rid, "ok": False, **error_reply(exc)}, b""
 
     # -- admission control ---------------------------------------------------------
 
-    async def _admit(self, rid) -> Optional[Tuple[Dict, bytes]]:
-        """Take one scan slot; returns an error response when the
-        request cannot be admitted."""
+    async def _admit(self, rid, target) -> Optional[Tuple[Dict, bytes]]:
+        """Take one slot on ``target``; returns an error response when
+        the request cannot be admitted.  Backpressure tracks the target
+        that will serve the request: in pool mode a hot hash span
+        rejects while the rest of the fleet keeps absorbing load."""
         if self._draining:
             return self._error(rid, "draining", "service is shutting "
                                "down")
-        if self._pending >= self.config.max_pending:
+        cap = (self._pool.per_worker_cap if self._pool is not None
+               else self.config.max_pending)
+        if target.depth >= cap:
             if self.config.admission == "reject":
                 self.metrics.record_rejected()
                 return self._error(
                     rid, "busy",
-                    f"queue full ({self.config.max_pending} in flight); "
-                    f"retry")
+                    f"queue full ({cap} in flight); retry")
+            # Soft: a burst of waiters waking together may briefly
+            # overshoot a worker's cap, which only deepens its mailbox,
+            # never loses a request.  A dead worker wakes its waiters
+            # so they fail fast with ``worker-crash``.
             try:
                 await asyncio.wait_for(
-                    self._wait_for_slot(),
+                    self._wait_until(
+                        lambda: not target.alive or target.depth < cap),
                     timeout=self.config.request_timeout)
             except asyncio.TimeoutError:
                 self.metrics.record_timeout()
@@ -479,101 +413,39 @@ class ScanService:
         self.metrics.set_queue_depth(self._pending)
         return None
 
-    async def _wait_for_slot(self) -> None:
-        async with self._cond:
-            await self._cond.wait_for(
-                lambda: self._pending < self.config.max_pending)
+    def wake_slot_waiters(self) -> None:
+        """A target's depth dropped: let every queued admission (and
+        the drain) re-check its condition."""
+        freed, self._slot_freed = self._slot_freed, asyncio.Event()
+        freed.set()
 
-    async def _release_slot(self) -> None:
+    def _release_slot(self) -> None:
         self._pending -= 1
         self.metrics.set_queue_depth(self._pending)
-        async with self._cond:
-            self._cond.notify_all()
+        self.wake_slot_waiters()
 
-    # -- pool routing ---------------------------------------------------------------
+    # -- data verbs -----------------------------------------------------------------
 
-    async def _admit_pool(self, rid, handle
-                          ) -> Optional[Tuple[Dict, bytes]]:
-        """Per-worker admission: pool mode splits ``max_pending``
-        evenly across workers, so backpressure tracks the worker that
-        actually owns the request's hash span instead of one global
-        counter — a hot span rejects while the rest of the fleet keeps
-        absorbing load."""
-        if self._draining:
-            return self._error(rid, "draining",
-                               "service is shutting down")
-        if not self._pool.has_slot(handle):
-            if self.config.admission == "reject":
-                self.metrics.record_rejected()
-                return self._error(
-                    rid, "busy",
-                    f"worker {handle.index} queue full "
-                    f"({self._pool.per_worker_cap} in flight); retry")
-            try:
-                await asyncio.wait_for(
-                    self._pool.wait_for_slot(handle),
-                    timeout=self.config.request_timeout)
-            except asyncio.TimeoutError:
-                self.metrics.record_timeout()
-                return self._error(
-                    rid, "timeout",
-                    f"no slot on worker {handle.index} within "
-                    f"{self.config.request_timeout:.3g}s")
-            if self._draining:
-                return self._error(rid, "draining",
-                                   "service is shutting down")
-        self._pending += 1
-        self.metrics.set_queue_depth(self._pending)
-        return None
-
-    async def _pool_call(self, handle, kind: str, meta: Dict,
-                         payload=b"") -> Dict:
-        # The pipe transport pickles; a zero-copy memoryview payload
-        # materializes exactly once, here at the process boundary.
-        data = bytes(payload) if payload else b""
-        return await handle.call(kind, meta, data)
-
-    async def _scan_pooled(self, rid, frame: Frame,
-                           tenant: Optional[Tenant], backend,
-                           with_events: bool,
-                           workers: int) -> Tuple[Dict, bytes]:
-        """Stateless SCAN stripes to the idlest live worker."""
-        handle = self._pool.least_loaded()
-        admission = await self._admit_pool(rid, handle)
+    async def _data_verb(self, rid, kind: str, target, meta: Dict,
+                         payload=b"") -> Tuple[Dict, bytes]:
+        """Admit, run one data-plane op on ``target``, release."""
+        admission = await self._admit(rid, target)
         if admission is not None:
             return admission
         try:
-            meta: Dict[str, object] = {"backend": backend,
-                                       "workers": workers,
-                                       "events": with_events}
-            if tenant is not None:
-                meta["tenant"] = tenant.name
-            result = await self._pool_call(handle, "scan", meta,
-                                           frame.payload)
+            result = await target.call(kind, meta, payload)
             return dict(result, id=rid, ok=True), b""
         finally:
-            await self._release_slot()
+            self._release_slot()
 
-    async def _flow_pooled(self, rid, frame: Frame,
-                           tenant: Optional[Tenant],
-                           flow_id) -> Tuple[Dict, bytes]:
-        """FLOW pins to the consistent-hash owner of
+    def _flow_target(self, tenant: Optional[Tenant], flow_id):
+        """FLOW and CLOSE_FLOW pin to the consistent-hash owner of
         ``(tenant, flow_id)`` so the session's DFA state never leaves
         its worker."""
-        handle = self._pool.place(
+        if self._pool is None:
+            return self._local
+        return self._pool.place(
             tenant.name if tenant is not None else "", flow_id)
-        admission = await self._admit_pool(rid, handle)
-        if admission is not None:
-            return admission
-        try:
-            meta: Dict[str, object] = {"flow": flow_id}
-            if tenant is not None:
-                meta["tenant"] = tenant.name
-            result = await self._pool_call(handle, "flow", meta,
-                                           frame.payload)
-            return dict(result, id=rid, ok=True), b""
-        finally:
-            await self._release_slot()
 
     # -- verbs ---------------------------------------------------------------------
 
@@ -583,81 +455,18 @@ class ScanService:
 
     async def _verb_scan(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
         tenant = self._tenant_of(frame)
-        backend = frame.header.get("backend") or self.config.backend
-        with_events = bool(frame.header.get("events"))
-        workers = int(frame.header.get("workers")
-                      or self.config.workers)
-        if self._pool is not None:
-            return await self._scan_pooled(rid, frame, tenant, backend,
-                                           with_events, workers)
-        if (tenant is None and self._batcher is not None
-                and not with_events and workers == 1
-                and backend in (None, "auto", "fused")):
-            return await self._scan_batched(rid, frame)
-        admission = await self._admit(rid)
-        if admission is not None:
-            return admission
-        try:
-            request = ScanRequest(data=frame.payload, workers=workers,
-                                  with_events=with_events)
-            loop = asyncio.get_running_loop()
-            registry = tenant.registry if tenant is not None \
-                else self.registry
-            with registry.lease() as gen:
-                outcome = await loop.run_in_executor(
-                    self._scan_pool,
-                    partial(execute, gen.ctx, request, backend))
-                self.metrics.record_scan(
-                    outcome.backend, outcome.seconds,
-                    outcome.bytes_scanned, outcome.total_matches)
-                header: Dict[str, object] = {
-                    "id": rid, "ok": True,
-                    "generation": gen.gen_id,
-                    "matches": outcome.total_matches,
-                    "bytes": outcome.bytes_scanned,
-                    "backend": outcome.backend,
-                    "workers": outcome.workers,
-                    "seconds": outcome.seconds,
-                }
-                if tenant is not None:
-                    self.metrics.record_tenant_request(
-                        tenant.name, outcome.bytes_scanned,
-                        outcome.total_matches)
-                    header["tenant"] = tenant.name
-                if with_events and outcome.events is not None:
-                    cap = self.config.max_events
-                    header["events"] = [[e.end, e.pattern]
-                                        for e in outcome.events[:cap]]
-                    if len(outcome.events) > cap:
-                        header["events_truncated"] = \
-                            len(outcome.events) - cap
-                return header, b""
-        finally:
-            await self._release_slot()
-
-    async def _scan_batched(self, rid,
-                            frame: Frame) -> Tuple[Dict, bytes]:
-        """Count-only SCAN via the cross-request batcher: the request
-        holds its admission slot while queued, so concurrent clients
-        inside the wait window ride the same fused pass."""
-        admission = await self._admit(rid)
-        if admission is not None:
-            return admission
-        try:
-            result = await self._batcher.submit(frame.payload)
-            self.metrics.record_scan(
-                "batch", result["seconds"], len(frame.payload),
-                result["matches"])
-            return ({"id": rid, "ok": True,
-                     "generation": result["generation"],
-                     "matches": result["matches"],
-                     "bytes": len(frame.payload),
-                     "backend": "batch",
-                     "workers": 1,
-                     "seconds": result["seconds"],
-                     "batch_size": result["batch_size"]}, b"")
-        finally:
-            await self._release_slot()
+        meta: Dict[str, object] = {
+            "backend": frame.header.get("backend") or self.config.backend,
+            "workers": int(frame.header.get("workers")
+                           or self.config.workers),
+            "events": bool(frame.header.get("events"))}
+        if tenant is not None:
+            meta["tenant"] = tenant.name
+        # Stateless SCAN stripes to the idlest live worker.
+        target = self._local if self._pool is None \
+            else self._pool.least_loaded()
+        return await self._data_verb(rid, "scan", target, meta,
+                                     frame.payload)
 
     async def _verb_flow(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
         flow_id = frame.header.get("flow")
@@ -665,66 +474,12 @@ class ScanService:
             return self._error(rid, "bad-request",
                                "FLOW needs a 'flow' id")
         tenant = self._tenant_of(frame)
-        if self._pool is not None:
-            return await self._flow_pooled(rid, frame, tenant, flow_id)
-        admission = await self._admit(rid)
-        if admission is not None:
-            return admission
-        try:
-            loop = asyncio.get_running_loop()
-            if tenant is not None:
-                return await self._flow_tenant(rid, tenant, flow_id,
-                                               frame.payload, loop)
-            with self.registry.lease() as gen:
-                t0 = time.perf_counter()
-                new, total, evicted = await loop.run_in_executor(
-                    self._scan_pool, gen.sessions.scan_packet,
-                    flow_id, frame.payload)
-                seconds = time.perf_counter() - t0
-                self.metrics.record_scan("flow", seconds,
-                                         len(frame.payload), new)
-                self.metrics.record_flow_evictions(evicted)
-                return ({"id": rid, "ok": True,
-                         "generation": gen.gen_id,
-                         "flow": flow_id,
-                         "matches": new,
-                         "flow_total": total,
-                         "bytes": len(frame.payload),
-                         "seconds": seconds}, b"")
-        finally:
-            await self._release_slot()
-
-    async def _flow_tenant(self, rid, tenant: Tenant, flow_id,
-                           payload: bytes, loop) -> Tuple[Dict, bytes]:
-        """Tenant-scoped FLOW: session scan + verdict on the tenant's
-        dictionary and policy (the admission slot is already held)."""
-        t0 = time.perf_counter()
-        verdict, gen_id, evicted = await loop.run_in_executor(
-            self._scan_pool, tenant.scan_packet, flow_id, payload)
-        seconds = time.perf_counter() - t0
-        self.metrics.record_scan("flow", seconds, len(payload),
-                                 verdict.new_matches)
-        self.metrics.record_tenant_request(tenant.name, len(payload),
-                                           verdict.new_matches)
-        self.metrics.record_verdict(tenant.name, verdict.action,
-                                    verdict.seconds)
-        self.metrics.record_flow_evictions(evicted)
-        header: Dict[str, object] = {
-            "id": rid, "ok": True,
-            "generation": gen_id,
-            "tenant": tenant.name,
-            "flow": flow_id,
-            "matches": verdict.new_matches,
-            "flow_total": verdict.flow_total,
-            "bytes": len(payload),
-            "seconds": seconds,
-            "action": verdict.action,
-        }
-        if verdict.rule is not None:
-            header["rule"] = verdict.rule
-        if verdict.triggered:
-            header["triggered"] = list(verdict.triggered)
-        return header, b""
+        meta: Dict[str, object] = {"flow": flow_id}
+        if tenant is not None:
+            meta["tenant"] = tenant.name
+        return await self._data_verb(rid, "flow",
+                                     self._flow_target(tenant, flow_id),
+                                     meta, frame.payload)
 
     async def _verb_close_flow(self, rid,
                                frame: Frame) -> Tuple[Dict, bytes]:
@@ -733,32 +488,12 @@ class ScanService:
             return self._error(rid, "bad-request",
                                "CLOSE_FLOW needs a 'flow' id")
         tenant = self._tenant_of(frame)
-        if self._pool is not None:
-            handle = self._pool.place(
-                tenant.name if tenant is not None else "", flow_id)
-            meta: Dict[str, object] = {"flow": flow_id}
-            if tenant is not None:
-                meta["tenant"] = tenant.name
-            result = await self._pool_call(handle, "close_flow", meta)
-            return dict(result, id=rid, ok=True), b""
+        meta: Dict[str, object] = {"flow": flow_id}
         if tenant is not None:
-            nbytes, matches, action = tenant.close_flow(flow_id)
-            header = {"id": rid, "ok": True,
-                      "generation": tenant.registry.generation,
-                      "tenant": tenant.name,
-                      "flow": flow_id,
-                      "bytes_seen": nbytes,
-                      "matches": matches}
-            if action is not None:
-                header["action"] = action
-            return header, b""
-        with self.registry.lease() as gen:
-            nbytes, matches = gen.sessions.close_flow(flow_id)
-            return ({"id": rid, "ok": True,
-                     "generation": gen.gen_id,
-                     "flow": flow_id,
-                     "bytes_seen": nbytes,
-                     "matches": matches}, b"")
+            meta["tenant"] = tenant.name
+        return await self._data_verb(rid, "close_flow",
+                                     self._flow_target(tenant, flow_id),
+                                     meta)
 
     async def _verb_reload(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
         patterns = decode_patterns(frame.payload)
@@ -905,8 +640,6 @@ class ScanService:
                 "admission": self.config.admission,
                 "max_flows": self.config.max_flows,
                 "session_policy": self.config.session_policy,
-                "batch_max": self.config.batch_max,
-                "batch_wait": self.config.batch_wait,
                 "pool_workers": self.config.pool_workers,
             }}
         if self._pool is not None:

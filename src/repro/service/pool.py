@@ -41,7 +41,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from ..core.scan.bundle import SharedArrayBundle, bundle_from_compiled
-from .worker import worker_main
+from .worker import WorkerOpError, worker_main
 
 __all__ = ["ConsistentHashRing", "WorkerCrashError", "WorkerOpError",
            "WorkerHandle", "WorkerPool", "PoolError"]
@@ -58,15 +58,6 @@ class WorkerCrashError(Exception):
     and lands on the restarted worker or a ring neighbour."""
 
     code = "worker-crash"
-
-
-class WorkerOpError(Exception):
-    """A worker-side operation failed; carries the worker's error code
-    so the gateway can echo the daemon's normal error taxonomy."""
-
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 def _hash64(data: bytes) -> int:
@@ -125,7 +116,7 @@ class WorkerHandle:
                  on_down, on_slot) -> None:
         self.index = index
         self.loop = loop
-        self.generation = int(init.get("generation", 1))
+        self.generation = init["generation"]
         self.alive = False
         self.stopping = False
         self.depth = 0
@@ -223,7 +214,7 @@ class WorkerHandle:
             self._on_down(self, len(pending))
 
     def call(self, kind: str, meta: Optional[Dict] = None,
-             payload: bytes = b"") -> "asyncio.Future":
+             payload=b"") -> "asyncio.Future":
         """Issue one op; resolves with the worker's result dict."""
         if not self.alive:
             fut = self.loop.create_future()
@@ -234,7 +225,10 @@ class WorkerHandle:
         fut = self.loop.create_future()
         self._pending[self._seq] = fut
         self.depth += 1
-        self._send_q.put((kind, self._seq, meta or {}, payload))
+        # The pipe pickles; a zero-copy memoryview payload materializes
+        # exactly once, here at the process boundary.
+        self._send_q.put((kind, self._seq, meta or {},
+                          bytes(payload) if payload else b""))
         return fut
 
     def shutdown(self, timeout: float = 5.0) -> None:
@@ -286,7 +280,6 @@ class WorkerPool:
         self.crashed_requests = 0
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._slot_cond: Optional[asyncio.Condition] = None
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -298,7 +291,6 @@ class WorkerPool:
         must never inherit live executor threads or server FDs.
         """
         self._loop = asyncio.get_running_loop()
-        self._slot_cond = asyncio.Condition()
         compiled = self.service.registry.active.compiled
         self._bundles[""] = (self.service.registry.generation,
                              bundle_from_compiled(compiled))
@@ -311,17 +303,14 @@ class WorkerPool:
             self.handles.append(self._spawn(index))
         await asyncio.gather(*(h.ready for h in self.handles))
 
-    def _init_for(self, index: int) -> Dict:
-        cfg = self.service.config
+    def _init(self) -> Dict:
+        # Workers fork, so ``init`` reaches them unpickled: the
+        # gateway's own ServiceConfig is the worker's config.
         gen, bundle = self._bundles[""]
         init: Dict[str, object] = {
             "bundle_meta": bundle.meta(),
             "generation": gen,
-            "config": {
-                "max_flows": cfg.max_flows,
-                "session_policy": cfg.session_policy,
-                "max_events": cfg.max_events,
-            },
+            "config": self.service.config,
             "tenants": [],
         }
         for name, (tgen, tbundle) in self._bundles.items():
@@ -341,7 +330,7 @@ class WorkerPool:
         return init
 
     def _spawn(self, index: int) -> WorkerHandle:
-        return WorkerHandle(index, self._ctx, self._init_for(index),
+        return WorkerHandle(index, self._ctx, self._init(),
                             self._loop, self._worker_down,
                             self._notify_slot)
 
@@ -368,7 +357,9 @@ class WorkerPool:
     async def stop(self) -> None:
         """Graceful drain: every live worker acks a ``stop`` (closing
         its sessions and attachments), then processes and owned
-        segments are torn down."""
+        segments are torn down.  Each ack carries the worker's final
+        metrics, folded into the gateway's so the service's
+        post-shutdown snapshot still holds the worker-side counters."""
         self._stopping = True
         futs = []
         for handle in self.handles:
@@ -376,14 +367,17 @@ class WorkerPool:
             if handle.alive:
                 futs.append(handle.call("stop"))
         if futs:
-            await asyncio.wait(futs, timeout=10.0)
+            done, _ = await asyncio.wait(futs, timeout=10.0)
+            for fut in done:
+                if fut.exception() is None:
+                    self.service.metrics.absorb(fut.result()["metrics"])
         for handle in self.handles:
             handle.shutdown()
         for _, bundle in self._bundles.values():
             bundle.close()
         self._bundles.clear()
 
-    # -- placement & admission ------------------------------------------------------
+    # -- placement ------------------------------------------------------------------
 
     def _alive_mask(self) -> List[bool]:
         return [h.alive for h in self.handles]
@@ -403,24 +397,9 @@ class WorkerPool:
         return min(alive, key=lambda h: h.depth)
 
     def _notify_slot(self) -> None:
-        if self._slot_cond is not None:
-            self._loop.create_task(self._wake_waiters())
-
-    async def _wake_waiters(self) -> None:
-        async with self._slot_cond:
-            self._slot_cond.notify_all()
-
-    def has_slot(self, handle: WorkerHandle) -> bool:
-        return handle.depth < self.per_worker_cap
-
-    async def wait_for_slot(self, handle: WorkerHandle) -> None:
-        """Block until the worker's depth dips under its cap (used by
-        the ``wait`` admission policy; soft — a burst of waiters waking
-        together may briefly overshoot the cap, which only deepens the
-        worker's mailbox, never loses a request)."""
-        async with self._slot_cond:
-            await self._slot_cond.wait_for(
-                lambda: not handle.alive or self.has_slot(handle))
+        """A worker's depth dropped (a reply or a crash): let queued
+        admissions re-check their target."""
+        self.service.wake_slot_waiters()
 
     # -- fleet ops ------------------------------------------------------------------
 

@@ -1,12 +1,24 @@
-"""Worker-process side of the multi-process scan service.
+"""Worker side of the scan service: the data plane and the worker
+process that hosts it in pool mode.
 
-This is the paper's SPE: the gateway (PPE) compiles the dictionary
-once, places it in shared memory as a ``SharedArrayBundle``, and each
-worker process *attaches* — it rebuilds a
-:class:`~repro.core.compiled.CompiledDictionary` from the shared views
-with **zero** automaton builds (``COUNTERS["automaton_builds"]`` is
-reset at worker entry and reported over the ready handshake and STATS,
-so the compile-once/map-everywhere contract is provable end to end).
+:class:`DataPlane` is the service's single implementation of the data
+verbs (``SCAN``, ``FLOW``, ``CLOSE_FLOW``) and :func:`error_reply` its
+single error taxonomy.  The daemon runs a ``DataPlane`` on its scan
+thread pool when it serves in-process (``pool_workers == 0``); in
+pool mode each worker process runs one over its own sessions and the
+gateway sends it the same ops over a pipe.  The two modes cannot
+drift apart because there is only one body per verb.
+
+The worker process is the paper's SPE: the gateway (PPE) compiles the
+dictionary once, places it in shared memory as a
+``SharedArrayBundle``, and each worker process *attaches* — it
+rebuilds a :class:`~repro.core.compiled.CompiledDictionary` from the
+shared views with **zero** automaton builds
+(``COUNTERS["automaton_builds"]`` is reset at worker entry and
+reported over the ready handshake and STATS, so the
+compile-once/map-everywhere contract is provable end to end).  Beside
+the data ops it serves the control ops that keep it in step with the
+gateway: reload, tenant create/delete, policy set, stats and ping.
 
 A worker is deliberately single-threaded: it owns a duplex pipe to the
 gateway and serves one message at a time, so a generation swap can
@@ -18,9 +30,9 @@ core-local across its lifetime.
 
 Wire format (over ``multiprocessing.Pipe``): requests are
 ``(kind, seq, meta, payload)`` tuples, responses ``(seq, ok, result)``
-where ``result`` is a picklable dict (an error descriptor with
+where ``result`` is a picklable dict (an :func:`error_reply` with
 ``code``/``error`` when ``ok`` is false).  ``seq == -1`` is the ready
-handshake.
+handshake; the ``stop`` ack carries the worker's final metrics state.
 """
 
 from __future__ import annotations
@@ -40,12 +52,22 @@ from .metrics import ServiceMetrics
 from .protocol import ProtocolError
 from .registry import DictionaryRegistry, RegistryError
 
-__all__ = ["worker_main"]
+__all__ = ["DataPlane", "WorkerOpError", "error_reply", "worker_main"]
+
+
+class WorkerOpError(Exception):
+    """A worker-side operation failed; carries the worker's error code
+    so the gateway can echo the daemon's normal error taxonomy."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _error_code(exc: BaseException) -> str:
-    """The daemon's error taxonomy, applied worker-side so the gateway
-    can echo the same codes clients already know."""
+    """The service's one error taxonomy, applied wherever an op fails
+    (worker process or daemon) so clients see the same codes in
+    either mode."""
     if isinstance(exc, (BackendError, ProtocolError, RegistryError,
                         CompileError, PolicyError, TenantError,
                         ValueError)):
@@ -55,68 +77,43 @@ def _error_code(exc: BaseException) -> str:
     return "internal"
 
 
-class _PoolWorker:
-    """One worker process's state: attached dictionary generations,
-    flow sessions, tenant replicas and private metrics."""
+def error_reply(exc: BaseException) -> Dict[str, str]:
+    """The ``code``/``error`` fields of a failed op's reply."""
+    if isinstance(exc, WorkerOpError):  # classified worker-side already
+        return {"code": exc.code, "error": str(exc)}
+    code = _error_code(exc)
+    if code == "internal":
+        return {"code": code, "error": f"{type(exc).__name__}: {exc}"}
+    return {"code": code, "error": str(exc)}
 
-    def __init__(self, conn, init: Dict) -> None:
-        self.conn = conn
-        self.config = dict(init.get("config", {}))
-        self.max_events = int(self.config.get("max_events", 1000))
-        # Attached segments, keyed by scope ("" = the default
-        # dictionary, else the tenant name).  Exactly one live bundle
-        # per scope; a reload swaps the attachment after the new
-        # generation is promoted.
-        self._bundles: Dict[str, SharedArrayBundle] = {}
-        bundle = SharedArrayBundle.attach(init["bundle_meta"])
-        self._bundles[""] = bundle
-        self.registry = DictionaryRegistry(
-            compiled=compiled_from_bundle(bundle),
-            first_generation=int(init.get("generation", 1)),
-            max_flows=int(self.config.get("max_flows", 65536)),
-            session_policy=self.config.get("session_policy", "lru"))
-        self.tenants = TenantManager(
-            max_flows=int(self.config.get("max_flows", 65536)),
-            session_policy=self.config.get("session_policy", "lru"))
-        for spec in init.get("tenants", []):
-            self._attach_tenant(spec)
-        self.metrics = ServiceMetrics()
-        self._ops = {
-            "ping": self._op_ping,
-            "scan": self._op_scan,
-            "flow": self._op_flow,
-            "close_flow": self._op_close_flow,
-            "reload": self._op_reload,
-            "tenant_create": self._op_tenant_create,
-            "tenant_delete": self._op_tenant_delete,
-            "policy_set": self._op_policy_set,
-            "stats": self._op_stats,
-        }
 
-    def _attach_tenant(self, spec: Dict):
-        bundle = SharedArrayBundle.attach(spec["bundle_meta"])
-        rules = None
-        if spec.get("rules"):
-            rules = RuleSet.from_specs(
-                spec["rules"], mode=spec.get("mode", "first-match"))
-        tenant = self.tenants.create(
-            spec["name"], rules=rules,
-            compiled=compiled_from_bundle(bundle),
-            first_generation=int(spec.get("generation", 1)))
-        self._bundles[spec["name"]] = bundle
-        return tenant
+class DataPlane:
+    """The one implementation of the data verbs — ``SCAN``, ``FLOW``
+    and ``CLOSE_FLOW`` — over a dictionary registry, a tenant manager
+    and a metrics sink.
+
+    A pool worker serves these ops from its own process; the
+    in-process daemon runs the very same object on its scan thread
+    pool.  Each op takes the request ``meta`` dict (``tenant``,
+    ``flow``, ``backend``, ``workers``, ``events``) plus the payload
+    and returns the reply header fields (the caller adds ``id`` and
+    ``ok``).  Everything here is thread-safe: leases and session
+    tables lock internally and :class:`ServiceMetrics` is
+    lock-guarded.
+    """
+
+    def __init__(self, registry: DictionaryRegistry,
+                 tenants: TenantManager, metrics: ServiceMetrics,
+                 max_events: int) -> None:
+        self.registry = registry
+        self.tenants = tenants
+        self.metrics = metrics
+        self.max_events = max_events
 
     def _tenant(self, name: Optional[str]):
         return self.tenants.get(str(name)) if name else None
 
-    # -- ops ------------------------------------------------------------------------
-
-    def _op_ping(self, meta: Dict, payload: bytes) -> Dict:
-        return {"generation": self.registry.generation,
-                "automaton_builds": COUNTERS["automaton_builds"],
-                "pid": os.getpid()}
-
-    def _op_scan(self, meta: Dict, payload: bytes) -> Dict:
+    def scan(self, meta: Dict, payload: bytes) -> Dict:
         tenant = self._tenant(meta.get("tenant"))
         with_events = bool(meta.get("events"))
         request = ScanRequest(data=payload,
@@ -150,7 +147,7 @@ class _PoolWorker:
                         len(outcome.events) - cap
             return header
 
-    def _op_flow(self, meta: Dict, payload: bytes) -> Dict:
+    def flow(self, meta: Dict, payload: bytes) -> Dict:
         flow_id = meta["flow"]
         tenant = self._tenant(meta.get("tenant"))
         if tenant is not None:
@@ -194,7 +191,7 @@ class _PoolWorker:
                     "bytes": len(payload),
                     "seconds": seconds}
 
-    def _op_close_flow(self, meta: Dict, payload: bytes) -> Dict:
+    def close_flow(self, meta: Dict, payload: bytes) -> Dict:
         flow_id = meta["flow"]
         tenant = self._tenant(meta.get("tenant"))
         if tenant is not None:
@@ -213,6 +210,66 @@ class _PoolWorker:
                     "flow": flow_id,
                     "bytes_seen": nbytes,
                     "matches": matches}
+
+
+class _PoolWorker:
+    """One worker process: attached dictionary generations, the
+    control ops that keep them in step with the gateway, and a
+    :class:`DataPlane` over the worker's own flow sessions, tenant
+    replicas and private metrics."""
+
+    def __init__(self, conn, init: Dict) -> None:
+        self.conn = conn
+        cfg = init["config"]            # the gateway's ServiceConfig
+        # Attached segments, keyed by scope ("" = the default
+        # dictionary, else the tenant name).  Exactly one live bundle
+        # per scope; a reload swaps the attachment after the new
+        # generation is promoted.
+        self._bundles: Dict[str, SharedArrayBundle] = {}
+        bundle = SharedArrayBundle.attach(init["bundle_meta"])
+        self._bundles[""] = bundle
+        self.registry = DictionaryRegistry(
+            compiled=compiled_from_bundle(bundle),
+            first_generation=init["generation"],
+            max_flows=cfg.max_flows, session_policy=cfg.session_policy)
+        self.tenants = TenantManager(max_flows=cfg.max_flows,
+                                     session_policy=cfg.session_policy)
+        for spec in init["tenants"]:
+            self._attach_tenant(spec)
+        self.metrics = ServiceMetrics()
+        data = DataPlane(self.registry, self.tenants, self.metrics,
+                         cfg.max_events)
+        self._ops = {
+            "ping": self._op_ping,
+            "scan": data.scan,
+            "flow": data.flow,
+            "close_flow": data.close_flow,
+            "reload": self._op_reload,
+            "tenant_create": self._op_tenant_create,
+            "tenant_delete": self._op_tenant_delete,
+            "policy_set": self._op_policy_set,
+            "stats": self._op_stats,
+        }
+
+    def _attach_tenant(self, spec: Dict):
+        bundle = SharedArrayBundle.attach(spec["bundle_meta"])
+        rules = None
+        if spec.get("rules"):
+            rules = RuleSet.from_specs(
+                spec["rules"], mode=spec.get("mode", "first-match"))
+        tenant = self.tenants.create(
+            spec["name"], rules=rules,
+            compiled=compiled_from_bundle(bundle),
+            first_generation=int(spec.get("generation", 1)))
+        self._bundles[spec["name"]] = bundle
+        return tenant
+
+    # -- control ops ----------------------------------------------------------------
+
+    def _op_ping(self, meta: Dict, payload: bytes) -> Dict:
+        return {"generation": self.registry.generation,
+                "automaton_builds": COUNTERS["automaton_builds"],
+                "pid": os.getpid()}
 
     def _op_reload(self, meta: Dict, payload: bytes) -> Dict:
         """Generation swap: attach the new bundle (lease) *before* the
@@ -293,7 +350,11 @@ class _PoolWorker:
             except (EOFError, OSError):
                 break
             if kind == "stop":
-                self._send(seq, True, {"stopped": True})
+                # The final metrics ride the ack: the gateway folds
+                # them into its own, so the post-shutdown snapshot
+                # still counts every request this worker served.
+                self._send(seq, True, {"stopped": True,
+                                       "metrics": self.metrics.state()})
                 break
             handler = self._ops.get(kind)
             if handler is None:
@@ -303,10 +364,7 @@ class _PoolWorker:
             try:
                 self._send(seq, True, handler(meta or {}, payload))
             except Exception as exc:
-                self._send(seq, False, {
-                    "code": _error_code(exc),
-                    "error": f"{type(exc).__name__}: {exc}"
-                    if _error_code(exc) == "internal" else str(exc)})
+                self._send(seq, False, error_reply(exc))
         self.close()
 
     def close(self) -> None:

@@ -278,15 +278,6 @@ class TestBackendExecution:
         out = execute(ScanContext(compiled), ScanRequest(self.RAW))
         assert out.backend != "hotcold"
 
-    def test_batch_totals_equals_fused_reduction(self):
-        compiled = compiled_with_slices(4)
-        ctx = ScanContext(compiled)
-        payloads = [self.RAW[:977], b"", b"virus" * 30, self.RAW[7:400]]
-        got = ctx.batch_totals(payloads)
-        fs = ctx.fused()
-        want = fs.run_streams(payloads, weights=fs.weights)[0]
-        assert np.array_equal(got, np.asarray(want).sum(axis=0))
-
 
 class TestSharedHotCold:
     def test_segment_roundtrip_and_attach(self):

@@ -321,18 +321,22 @@ class TestPlannerAndBackend:
         with pytest.raises(CompileError):
             compiled.hot_cold2_table()
 
-    def test_batch_totals_prefers_pair_scanner_and_records_stats(self):
+    def test_batch_kernel_prefers_pair_scanner_with_stats(self):
+        # The prefilter verifies candidate windows of backends without
+        # their own verify kernel on this kernel.
         compiled = compiled_with_slices(4)
         ctx = ScanContext(compiled)
+        name = ctx.batch_kernel_name()
+        if compiled.pair_table_fits():
+            assert name == "hotcold2"
+        kern = ctx.kernel(name)
+        kern.reset_stats()
         payloads = [self.RAW[:977], b"", b"virus" * 30, self.RAW[7:400]]
-        got = ctx.batch_totals(payloads)
+        got, _ = kern.run_streams(payloads)
         fs = ctx.fused()
         want = fs.run_streams(payloads, weights=fs.weights)[0]
         assert np.array_equal(got, np.asarray(want).sum(axis=0))
-        stats = ctx.last_batch_scan_stats
-        assert stats is not None
-        if compiled.pair_table_fits():
-            assert stats["scanner"] == "hotcold2"
+        stats = kern.stats()
         assert stats["steps"] > 0
         assert 0.0 <= stats["hot_hit_rate"] <= 1.0
 

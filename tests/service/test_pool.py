@@ -7,6 +7,8 @@ import os
 import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -168,6 +170,52 @@ class TestPoolParity:
                 after = client.scan_packet("f2", b"alpha!",
                                            tenant="acme")
                 assert after.action == "drop"
+
+    def test_tenant_path_headers_match_in_process(self):
+        """Every reply header field (minus timing) agrees across modes
+        on the tenant path: verdict fields, event truncation and the
+        tenant CLOSE_FLOW action."""
+        rules = [{"name": "drop-alpha", "action": "drop",
+                  "patterns": ["alpha"]},
+                 {"name": "alert-beta", "action": "alert",
+                  "patterns": ["beta"]}]
+
+        def script(handle):
+            replies = []
+            with ServiceClient(handle.host, handle.port) as client:
+                def send(header, payload=b""):
+                    reply = dict(client.request(header, payload).header)
+                    reply.pop("seconds", None)
+                    replies.append(reply)
+
+                client.tenant_create("acme", ["alpha", "beta", "virus"],
+                                     rules=rules, mode="accumulate")
+                for fid, payload in (("f1", b"a beta here"),
+                                     ("f1", b"then alpha!"),
+                                     ("f2", b"nothing"),
+                                     ("f2", b"virus beta")):
+                    send({"verb": "FLOW", "id": 1, "tenant": "acme",
+                          "flow": fid}, payload)
+                send({"verb": "SCAN", "id": 2, "events": True},
+                     b"virus " * 5)
+                send({"verb": "SCAN", "id": 3, "tenant": "acme",
+                      "events": True}, b"alpha beta virus alpha")
+                for fid in ("f1", "f2"):
+                    send({"verb": "CLOSE_FLOW", "id": 4,
+                          "tenant": "acme", "flow": fid})
+            return replies
+
+        with pooled_service(workers=1, max_events=2) as pooled:
+            pooled_replies = script(pooled)
+        with ServiceThread(ScanService(PATTERNS, config=ServiceConfig(
+                port=0, max_events=2))) as plain:
+            plain_replies = script(plain)
+        assert pooled_replies == plain_replies
+        fields = set().union(*pooled_replies)
+        assert {"action", "rule", "triggered",
+                "events_truncated"} <= fields, fields
+        assert pooled_replies[1]["action"] == "drop"
+        assert pooled_replies[-2]["action"] == "drop"
 
 
 class TestReloadUnderLoad:
@@ -335,6 +383,33 @@ class TestMergedStats:
                 stats = client.stats()
         tenants = stats["metrics"]["tenants"]
         assert tenants["acme"]["requests"] == 2
+
+    def test_metrics_json_keeps_worker_counters(self, tmp_path):
+        """``serve --pool-workers N --metrics-json`` writes the
+        pool-wide counters: scans are recorded in the workers, so the
+        gateway must fold their final metrics in at shutdown."""
+        out = tmp_path / "metrics.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--pattern", "virus",
+             "--pattern", "worm", "--port", "0", "--pool-workers", "1",
+             "--metrics-json", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving"), line
+            host, port = line.split(" on ")[1].split(" ")[0].rsplit(":", 1)
+            with ServiceClient(host, int(port)) as client:
+                for _ in range(5):
+                    client.scan(b"a virus and a worm")
+                live = client.stats()["metrics"]
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert live["bytes_scanned"] == 90 and live["matches"] == 10
+        assert json.loads(out.read_text()) == live
 
 
 class TestManyFlowsStress:
