@@ -23,7 +23,7 @@ import pytest
 from repro.analysis import ascii_table
 from repro.core.compiled import compile_dictionary
 from repro.core.compressed import CompressedSTT
-from repro.core.engine import HOTCOLD_LANES_TARGET, count_arr
+from repro.core.scan import HOTCOLD_LANES_TARGET, count_arr
 from repro.core.planner import plan_tile
 from repro.dfa import AhoCorasick
 from repro.dfa.alphabet import identity_fold

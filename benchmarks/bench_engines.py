@@ -26,7 +26,7 @@ from repro.baselines import (
     KMPMatcher,
     WuManberMatcher,
 )
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import VectorDFAEngine
 from repro.dfa import AhoCorasick, build_dfa
 from repro.workloads import adversarial_payload, plant_matches, \
     random_payload, random_signatures

@@ -94,7 +94,7 @@ def test_functional_replacement_still_exact():
     matcher = ReplacementMatcher.from_patterns(patterns,
                                                states_per_slice=60)
     assert matcher.num_slices >= 3
-    from repro.core.engine import VectorDFAEngine
+    from repro.core.scan import VectorDFAEngine
     from repro.dfa import build_dfa
     block = plant_matches(random_payload(30_000, seed=1), patterns, 80,
                           seed=2)

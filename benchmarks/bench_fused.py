@@ -48,7 +48,7 @@ import numpy as np
 from repro.analysis import ascii_table
 from repro.core.backends import ScanContext, ScanRequest, execute
 from repro.core.compiled import compile_dictionary
-from repro.core.engine import HOTCOLD_LANES_TARGET, count_arr
+from repro.core.scan import HOTCOLD_LANES_TARGET, count_arr
 from repro.dfa.alphabet import identity_fold
 from repro.workloads import plant_matches, random_payload, \
     random_signatures

@@ -9,6 +9,10 @@ engine at a different chunking, and against the pure-Python reference
 scan (on a prefix by default — the reference runs at ~1 MB/s — or on the
 whole block with ``REPRO_BENCH_FULL_REF=1``).
 
+Every configuration runs the same flat kernel
+(:meth:`repro.core.scan.FlatKernel.from_dfas`), which workers attach
+from its shared-memory bundle.
+
 Setup cost (pool fork + shared-segment creation + first-scan warmup) is
 measured separately from steady-state scanning and reported as
 ``setup_seconds``: the pool is persistent, so a long-lived service pays
@@ -37,7 +41,7 @@ import time
 import pytest
 
 from repro.analysis import ascii_table
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import FlatKernel, SharedArrayBundle, VectorDFAEngine
 from repro.dfa import build_dfa
 from repro.parallel import ShardedScanner
 from repro.workloads import plant_matches, random_payload, \
@@ -77,12 +81,13 @@ def test_parallel_scaling_report(report, report_json):
     block = _build_block(nbytes)
     dfa = build_dfa(PATTERNS, 32)
     engine = VectorDFAEngine(dfa)
+    kernel = FlatKernel.from_dfas(dfa)
 
     results = {}
     rows = []
     for workers in _worker_counts():
         t0 = time.perf_counter()
-        with ShardedScanner(dfa, workers=workers, chunks=1024,
+        with ShardedScanner(kernel, workers=workers, chunks=1024,
                             min_shard_bytes=0,
                             ring_bytes=RING_BYTES) as scanner:
             scanner.count_block(block[:200_000])   # warm the pool
@@ -116,7 +121,7 @@ def test_parallel_scaling_report(report, report_json):
     ref_prefix = engine.count_block_reference(block[:ref_bytes])
     sharded_prefix = count if ref_bytes == len(block) else None
     if sharded_prefix is None:
-        with ShardedScanner(dfa, workers=min(_worker_counts()[-1], 4),
+        with ShardedScanner(kernel, workers=min(_worker_counts()[-1], 4),
                             chunks=1024, min_shard_bytes=0) as scanner:
             sharded_prefix = scanner.count_block(block[:ref_bytes])
     assert sharded_prefix == ref_prefix, \
@@ -162,8 +167,9 @@ def test_streaming_scan_file_report(report_json, tmp_path):
 
     ring = min(RING_BYTES, 1 << 20)     # force several buffer cycles
     workers = max(_worker_counts())
-    with ShardedScanner(dfa, workers=workers, chunks=1024,
-                        min_shard_bytes=0, ring_bytes=ring) as scanner:
+    with ShardedScanner(FlatKernel.from_dfas(dfa), workers=workers,
+                        chunks=1024, min_shard_bytes=0,
+                        ring_bytes=ring) as scanner:
         scanner.count_block(block[:200_000])   # warm the pool
         t0 = time.perf_counter()
         count = scanner.scan_file(path)
@@ -183,27 +189,28 @@ def test_streaming_scan_file_report(report_json, tmp_path):
     })
 
 
-def test_shared_stt_attach_is_cheap(report_json):
-    """Artifact build happens once; attaching is microseconds — the
-    'load the local store once, stream input past it' property."""
-    from repro.parallel import SharedSTT
-
+def test_kernel_bundle_attach_is_cheap(report_json):
+    """Kernel build and export happen once; a worker's attach (segment
+    map + ``from_bundle``) is microseconds — the 'load the local store
+    once, stream input past it' property."""
     dfa = build_dfa(PATTERNS, 32)
     t0 = time.perf_counter()
-    stt = SharedSTT(dfa)
+    bundle = FlatKernel.from_dfas(dfa).shared_export()
     build_s = time.perf_counter() - t0
     try:
-        meta = stt.meta()
+        meta = bundle.meta()
         t0 = time.perf_counter()
         n = 50
         for _ in range(n):
-            peer = SharedSTT.attach(meta)
+            peer = SharedArrayBundle.attach(meta)
+            FlatKernel.from_bundle(peer)
             peer.close()
         attach_s = (time.perf_counter() - t0) / n
+        size = bundle.size_bytes
     finally:
-        stt.close()
-    report_json("shared_stt", {
-        "stt_bytes": dfa.num_states * dfa.alphabet_size * 8,
+        bundle.close()
+    report_json("kernel_bundle", {
+        "bundle_bytes": size,
         "build_seconds": round(build_s, 6),
         "attach_seconds": round(attach_s, 6),
     })

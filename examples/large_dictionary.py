@@ -13,7 +13,7 @@ Run:  python examples/large_dictionary.py
 
 from repro.analysis import ascii_table
 from repro.core import CellStringMatcher
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import VectorDFAEngine
 from repro.core.planner import plan_tile
 from repro.dfa import build_dfa, case_fold_32
 from repro.workloads import ascii_keywords, plant_matches, random_payload

@@ -27,7 +27,7 @@ Quickstart::
 from .core.backends import ScanOutcome, backend_names
 from .core.compiled import (ArtifactCache, CompiledDictionary,
                             compile_dictionary)
-from .core.engine import VectorDFAEngine
+from .core.scan import VectorDFAEngine
 from .core.matcher import CellStringMatcher, ScanReport
 from .core.tile import DFATile
 from .dfa.aho_corasick import AhoCorasick

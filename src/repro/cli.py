@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=["auto", "serial", "chunked", "fused",
                                "hotcold", "hotcold2", "pooled",
                                "streaming", "cellsim"],
-                      help="scan backend (default: auto — the execution "
+                      help="scan backend, the one way to force a "
+                           "kernel (default: auto — the execution "
                            "planner chooses)")
     scan.add_argument("--workers", type=int, default=1,
                       help="worker processes for the parallel backends "
@@ -68,24 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="escape hatch: never auto-plan the fused "
                            "multi-slice path (one pass per slice "
                            "instead of one stacked-table pass)")
-    scan.add_argument("--hot-cold", dest="hot_cold", default=None,
-                      action="store_true",
-                      help="escape hatch: demand the cache-resident "
-                           "hot/cold union scan when auto-planning "
-                           "(exact dictionaries only)")
-    scan.add_argument("--no-hot-cold", dest="hot_cold",
-                      action="store_false",
-                      help="escape hatch: never auto-plan the hot/cold "
-                           "union scan")
-    scan.add_argument("--two-byte", dest="two_byte", default=None,
-                      action="store_true",
-                      help="escape hatch: demand the two-byte-stride "
-                           "pair-symbol scan when auto-planning picks "
-                           "the union path (exact dictionaries only)")
-    scan.add_argument("--no-two-byte", dest="two_byte",
-                      action="store_false",
-                      help="escape hatch: never auto-plan the two-byte-"
-                           "stride pair-symbol scan")
     scan.add_argument("--prefilter", dest="prefilter", default=None,
                       action="store_true",
                       help="escape hatch: demand the packed trigram "
@@ -248,9 +231,7 @@ def _cmd_scan(args) -> int:
             report = matcher.scan(args.text.encode(),
                                   with_events=args.events,
                                   workers=args.workers, backend=backend,
-                                  fuse=fuse, hot_cold=args.hot_cold,
-                                  two_byte=args.two_byte,
-                                  prefilter=args.prefilter)
+                                  fuse=fuse, prefilter=args.prefilter)
         elif args.events or backend not in (None, "streaming"):
             # Events and the block-only backends need the bytes in one
             # piece; everything else streams.
@@ -258,8 +239,6 @@ def _cmd_scan(args) -> int:
                 report = matcher.scan(fh.read(), with_events=args.events,
                                       workers=args.workers,
                                       backend=backend, fuse=fuse,
-                                      hot_cold=args.hot_cold,
-                                      two_byte=args.two_byte,
                                       prefilter=args.prefilter)
         else:
             # File input flows through the staging ring — the file is

@@ -17,7 +17,7 @@ from .compiled import (TABLE_FORMAT_VERSION, ArtifactCache, CompiledDictionary,
 from .composition import (CompositionError, CompositionReport,
                           TileComposition, mixed, parallel, series)
 from .compressed import CompressedSTT, CompressionStats
-from .engine import StreamResult, VectorDFAEngine
+from .scan.driver import StreamResult, VectorDFAEngine
 from .flows import FlowError, FlowMatcher
 from .interleave import (InterleaveError, block_to_streams, deinterleave,
                          interleave_block, interleave_streams)

@@ -20,7 +20,7 @@ chunked    in-process speculative fixpoint over the flat table      §4
 fused      stacked multi-slice STT, one pass for every slice        §6
 hotcold    cache-resident hot/cold union table, one gather per byte §4
 hotcold2   pair-symbol hot table, one gather per two input bytes      §4
-pooled     sharded process pool + shared STT + incremental repair   §6a
+pooled     sharded process pool over the shared batch kernel        §6a
 streaming  double-buffered staging ring, bounded-memory streams     Fig. 5
 cellsim    exact counts + cycle-accounted Cell model (Table 1 v4)   §4/T1
 ========== ======================================================== =======
@@ -104,27 +104,17 @@ class ScanRequest:
     file: Optional[Union[str, os.PathLike, IO[bytes]]] = None
     workers: int = 1
     with_events: bool = False
-    #: Allow the planner to pick the fused multi-slice path (the
-    #: ``--no-fuse`` escape hatch sets this to ``False``).  Only
-    #: consulted by auto-planning — an explicit backend name wins.
+    #: Allow the planner to pick the shared-pass kernels (fused or
+    #: union; the ``--no-fuse`` escape hatch sets this to ``False``).
+    #: Only consulted by auto-planning — an explicit backend name, the
+    #: one way to force a kernel, wins.
     fuse: bool = True
-    #: Hot/cold escape hatch, mirroring ``fuse``: ``None`` lets the
-    #: planner's cache-footprint rule decide, ``False`` forces the
-    #: stacked fused path, ``True`` demands the cache-resident union
-    #: scan (exact dictionaries only).  Only consulted by auto-planning.
-    hot_cold: Optional[bool] = None
-    #: Two-byte-stride escape hatch within the union-scan choice:
-    #: ``None`` auto-selects the pair path exactly when the
-    #: full-coverage pair table fits the hot budget, ``False`` keeps
-    #: the one-byte union scan, ``True`` demands the pair path even at
-    #: partial coverage.  Only consulted by auto-planning.
-    two_byte: Optional[bool] = None
     #: Packed-prefilter escape hatch: ``None`` lets the planner mount
     #: the screening stage on large screenable blocks, ``False``
     #: disables it (``repro scan --no-prefilter``), ``True`` demands it
-    #: (block input and a screenable dictionary required).  Unlike the
-    #: other hatches this one is honoured for explicitly named backends
-    #: too — the stage sits in front of whichever kernel runs.
+    #: (block input and a screenable dictionary required).  Unlike
+    #: ``fuse`` this one is honoured for explicitly named backends too —
+    #: the stage sits in front of whichever kernel runs.
     prefilter: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -148,49 +138,16 @@ class ScanRequest:
 class ScanContext:
     """Per-dictionary execution state shared by the backends.
 
-    Owns the lazily built host-parallel scanners (one persistent pool +
-    shared tables per worker count) and hands out the compiled
-    dictionary's in-process flat scanners.  The matcher keeps one
-    context for its lifetime; benchmarks and the CLI build their own.
+    Owns the lazily built scan kernels (one per registered kernel name)
+    and host-parallel scanners (one persistent pool per worker count).
+    The matcher keeps one context for its lifetime; benchmarks and the
+    CLI build their own.
     """
 
     def __init__(self, compiled: CompiledDictionary) -> None:
         self.compiled = compiled
         self._sharded: Dict[int, object] = {}
         self._kernels: Dict[str, object] = {}
-
-    def scanners(self):
-        return self.compiled.scanners()
-
-    def weights(self) -> List[np.ndarray]:
-        return [w for _, w in self.compiled.tables()]
-
-    def fused(self):
-        """The dictionary's cached
-        :class:`~repro.core.engine.FusedScanner` (stacked multi-slice
-        table, one pass over the input for every slice)."""
-        return self.compiled.fused_scanner()
-
-    def hot_cold(self):
-        """The dictionary's cached
-        :class:`~repro.core.engine.HotColdFusedScanner` (cache-resident
-        union table, hot/cold split).  Exact dictionaries only."""
-        if not self.compiled.supports_hot_cold:
-            raise BackendError(
-                "hot/cold scanning needs the union automaton; regex "
-                "dictionaries have none (use the fused backend)")
-        return self.compiled.hot_cold_scanner()
-
-    def hot_cold2(self):
-        """The dictionary's cached
-        :class:`~repro.core.engine.HotCold2Scanner` (pair-symbol hot
-        table over the union automaton, two input bytes per gather).
-        Exact dictionaries only."""
-        if not self.compiled.supports_hot_cold:
-            raise BackendError(
-                "two-byte-stride scanning needs the union automaton; "
-                "regex dictionaries have none (use the fused backend)")
-        return self.compiled.hot_cold2_scanner()
 
     def kernel(self, name: str):
         """The named :class:`~repro.core.scan.kernels.ScanKernel` over
@@ -211,9 +168,10 @@ class ScanContext:
         return kern
 
     def batch_kernel_name(self) -> str:
-        """The whole-dictionary kernel for many short segments: it
-        verifies the prefilter's candidate windows when the planned
-        backend has no verify kernel of its own (``pooled``).  It is
+        """The whole-dictionary kernel of the ``pooled`` and
+        ``streaming`` backends, which also verifies the prefilter's
+        candidate windows when the planned backend has no verify
+        kernel of its own (``pooled``).  It is
         the hot/cold union scan when the dictionary supports it and
         the planner's footprint rule favours it (partitioned
         dictionary, or plain fused table over the cache budget) — at
@@ -230,13 +188,15 @@ class ScanContext:
 
     def sharded(self, workers: int):
         """Cached :class:`~repro.parallel.ShardedScanner` for a worker
-        count (the pool and shared segments persist across scans)."""
+        count (the pool and shared segments persist across scans).  It
+        runs the :meth:`batch_kernel_name` kernel — the same object the
+        prefilter verifier uses."""
         from ..parallel import ShardedScanner
 
         scanner = self._sharded.get(workers)
         if scanner is None:
-            scanner = ShardedScanner.from_compiled(self.compiled,
-                                                   workers=workers)
+            scanner = ShardedScanner(self.kernel(self.batch_kernel_name()),
+                                     workers=workers)
             self._sharded[workers] = scanner
         return scanner
 
@@ -354,7 +314,7 @@ class ChunkedBackend(ScanBackend):
     paper_section = "§4 (flag-encoded STT inner loop)"
     description = "single-process speculative fixpoint, counts only"
 
-    #: Speculation granularity floor (widened to engine.LANES_TARGET on
+    #: Speculation granularity floor (widened to scan.base.LANES_TARGET on
     #: large inputs).
     chunks = 256
 
@@ -384,7 +344,7 @@ class FusedBackend(ScanBackend):
     description = "one pass over the input for every slice (stacked STT)"
 
     #: Per-DFA speculation granularity, same meaning as the chunked
-    #: backend's (widened to engine.LANES_TARGET on large inputs).
+    #: backend's (widened to scan.base.LANES_TARGET on large inputs).
     chunks = 256
 
     def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
@@ -416,7 +376,7 @@ class HotColdBackend(ScanBackend):
     description = "cache-resident union table with hot/cold state split"
 
     #: Speculation granularity floor, widened to
-    #: engine.HOTCOLD_LANES_TARGET on large inputs.
+    #: scan.base.HOTCOLD_LANES_TARGET on large inputs.
     chunks = 256
 
     def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
@@ -455,7 +415,7 @@ class HotCold2Backend(ScanBackend):
     description = "pair-symbol hot table, two input bytes per gather"
 
     #: Speculation granularity floor, widened to
-    #: engine.HOTCOLD_LANES_TARGET on large inputs.
+    #: scan.base.HOTCOLD_LANES_TARGET on large inputs.
     chunks = 256
 
     def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
@@ -483,13 +443,14 @@ class HotCold2Backend(ScanBackend):
 
 @register_backend
 class PooledBackend(ScanBackend):
-    """Sharded process pool: shared-memory STT, speculative shard scans,
-    incremental cross-shard repair — exact counts at multicore speed."""
+    """Sharded process pool: the batch kernel attached by every worker
+    from shared memory, speculative shard scans, incremental
+    cross-shard repair — exact counts at multicore speed."""
 
     name = "pooled"
     kinds = ("block",)
     paper_section = "Figure 6a (parallel tiles) on host cores"
-    description = "process-pool sharded scan over the shared STT"
+    description = "process-pool sharded scan over the shared kernel"
 
     def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
         self._require_kind(request)
@@ -500,7 +461,8 @@ class PooledBackend(ScanBackend):
             bytes_scanned=len(request.data),
             backend=self.name,
             workers=request.workers,
-            stats=dict(scanner.last_scan_stats))
+            stats={**scanner.last_scan_stats,
+                   "kernel": scanner.kernel.name})
 
 
 @register_backend
@@ -522,7 +484,7 @@ class StreamingBackend(ScanBackend):
             total = scanner.count_stream(request.chunks)
         else:
             total = scanner.count_stream([request.data])
-        stats = dict(scanner.last_scan_stats)
+        stats = {**scanner.last_scan_stats, "kernel": scanner.kernel.name}
         return ScanOutcome(
             total_matches=total,
             bytes_scanned=int(stats.get("bytes", 0)),
@@ -587,27 +549,6 @@ _VERIFY_KERNELS = {
 def _validate_request(ctx: ScanContext, request: ScanRequest) -> None:
     """Reject contradictory flag combinations with one error naming the
     conflict, before any planning or table building happens."""
-    union = request.hot_cold is True or request.two_byte is True
-    if request.two_byte is True and request.hot_cold is False:
-        raise BackendError(
-            "conflicting flags: two_byte=True demands the union scan "
-            "but hot_cold=False pins the stacked path; drop one of "
-            "them")
-    if union and request.with_events:
-        raise BackendError(
-            "conflicting flags: hot_cold/two_byte select counts-only "
-            "union kernels, but with_events=True needs the serial "
-            "reference walk; drop the union flags to get events")
-    if union and not request.fuse:
-        raise BackendError(
-            "conflicting flags: hot_cold/two_byte build on the fused "
-            "union automaton, but fuse=False disables fusion; drop one "
-            "of them")
-    if union and not ctx.compiled.supports_hot_cold:
-        raise BackendError(
-            "conflicting flags: hot_cold/two_byte need the union "
-            "automaton, and regex dictionaries have none; drop the "
-            "flags or use the fused backend")
     if request.prefilter is True:
         if request.kind != "block":
             raise BackendError(
@@ -646,8 +587,6 @@ def _plan(ctx: ScanContext, request: ScanRequest,
                         fuse=request.fuse,
                         exact=ctx.compiled.supports_hot_cold,
                         fused_bytes=ctx.compiled.fused_table_bytes,
-                        hot_cold=request.hot_cold,
-                        two_byte=request.two_byte,
                         pair_fit=ctx.compiled.pair_table_fits(),
                         prefilter=request.prefilter,
                         screenable=screenable)

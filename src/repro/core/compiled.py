@@ -12,9 +12,9 @@ single value object that every execution path consumes:
   deployment from it;
 * the :mod:`repro.core.backends` registry scans through its
   fold-composed flat tables and weight tables;
-* :class:`~repro.parallel.ShardedScanner` /
-  :class:`~repro.parallel.SharedSTT` place those same tables in shared
-  memory (``ShardedScanner.from_compiled``);
+* :class:`~repro.parallel.ShardedScanner` runs one of its scan
+  kernels, whose ``shared_export()`` places those same tables in
+  shared memory;
 * :class:`~repro.core.composition.TileComposition` and
   :class:`~repro.core.system.CellMatchingSystem` model the modelled-Cell
   deployment (``from_compiled``).
@@ -47,13 +47,13 @@ from ..dfa.aho_corasick import AhoCorasick
 from ..dfa.automaton import DFA, DFAError, MatchEvent
 from ..dfa.partition import PartitionedDictionary, partition_patterns
 from .compressed import ColdRowStore
-from .engine import (HOT_BUDGET_BYTES, FlatScanner, FusedScanner,
-                     FusedTable, HotCold2Scanner, HotCold2Table,
-                     HotColdFusedScanner, HotColdFusedTable,
-                     build_flat_table, build_hot_cold2_table,
-                     build_hot_cold_table, build_weight_table,
-                     fuse_tables, pair_symbol_table, project_states,
-                     visit_order)
+from .scan import (HOT_BUDGET_BYTES, FlatScanner, FusedScanner,
+                   FusedTable, HotCold2Scanner, HotCold2Table,
+                   HotColdFusedScanner, HotColdFusedTable,
+                   build_flat_table, build_hot_cold2_table,
+                   build_hot_cold_table, build_weight_table,
+                   fuse_tables, pair_symbol_table, project_states,
+                   visit_order)
 from .scan.prefilter import PackedPrefilter
 
 __all__ = [
@@ -74,14 +74,14 @@ __all__ = [
 #: loaders reject files whose stored version disagrees.
 #:
 #: v3: multi-slice artifacts persist the fused stacked table (see
-#: :func:`repro.core.engine.fuse_tables`), so a warm service start pays
+#: :func:`repro.core.scan.fuse_tables`), so a warm service start pays
 #: neither automaton builds *nor* table stacking.
 #:
 #: v4: exact-mode artifacts additionally persist the hot/cold layout of
 #: the union automaton — its dense table (when it is not simply slice
-#: 0's), the :func:`~repro.core.engine.visit_order` ranking and the
+#: 0's), the :func:`~repro.core.scan.visit_order` ranking and the
 #: union→slice state maps — so a warm start derives a
-#: :class:`~repro.core.engine.HotColdFusedTable` at any hot-budget
+#: :class:`~repro.core.scan.HotColdFusedTable` at any hot-budget
 #: without an Aho–Corasick build or a profiling pass.
 #:
 #: v5: exact-mode artifacts add the pair-symbol layout for two-byte
@@ -119,7 +119,7 @@ def hot_budget_bytes() -> int:
     """Sizing policy for the hot partition of a hot/cold table.
 
     ``REPRO_HOT_BUDGET_KB`` overrides the default
-    (:data:`~repro.core.engine.HOT_BUDGET_BYTES`, sized for L2
+    (:data:`~repro.core.scan.HOT_BUDGET_BYTES`, sized for L2
     residency).  Read per call so services can be retuned without a
     restart."""
     env = os.environ.get("REPRO_HOT_BUDGET_KB")
@@ -133,7 +133,7 @@ def hot_budget_bytes() -> int:
 
 def _per_state_weights(dfa: DFA) -> np.ndarray:
     """Match multiplicity on *entering* each state (the per-state core
-    of :func:`~repro.core.engine.build_weight_table`)."""
+    of :func:`~repro.core.scan.build_weight_table`)."""
     w = np.zeros(dfa.num_states, dtype=np.int64)
     for s, pats in dfa.outputs.items():
         w[s] = len(pats)
@@ -184,7 +184,7 @@ class CompiledDictionary:
     the same object serves counting and full event reporting).  The
     fold-composed flat table and weight table of each slice are built
     lazily and cached — they are what
-    :class:`~repro.core.engine.FlatScanner` and the shared-memory layer
+    :class:`~repro.core.scan.FlatScanner` and the shared-memory layer
     actually execute.
     """
 
@@ -263,8 +263,8 @@ class CompiledDictionary:
         The flat table gathers on **raw bytes** (the fold is composed
         in, stride ``2 × 256``), and the weight table holds per-state
         match multiplicities addressable by ``pointer >> 1`` — exactly
-        what :class:`SharedSTT` places in shared memory and the in-
-        process backends scan with.  Built once, cached on the object.
+        what the flat kernel exports to shared memory and the in-process
+        backends scan with.  Built once, cached on the object.
         """
         if self._tables is None:
             fold_table = self.fold.np_table
@@ -288,7 +288,7 @@ class CompiledDictionary:
 
     def fused_table(self) -> FusedTable:
         """All slice tables stacked into one :class:`FusedTable` (see
-        :func:`repro.core.engine.fuse_tables`): one contiguous flat
+        :func:`repro.core.scan.fuse_tables`): one contiguous flat
         array with per-DFA cell bases, so a single gather per input
         position advances every slice at once.  Derived lazily from
         :meth:`tables` and cached on the object; multi-slice artifacts

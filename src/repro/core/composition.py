@@ -29,7 +29,7 @@ import numpy as np
 from ..cell.processor import NUM_SPES
 from ..dfa.automaton import DFA, DFAError, MatchEvent
 from ..dfa.partition import PartitionedDictionary, partition_patterns
-from .engine import VectorDFAEngine
+from .scan.driver import VectorDFAEngine
 
 __all__ = ["TileComposition", "CompositionError", "CompositionReport",
            "parallel", "series", "mixed"]

@@ -18,7 +18,7 @@ Two representations share the sparse (CSR-style) machinery here:
 * :class:`CompressedSTT` — per-state default *chains* (AC failure links),
   the faithful D2FA-style ablation with input-dependent hop counts;
 * :class:`ColdRowStore` — the depth-1 variant that actually ships inside
-  the hot/cold fused scanner (:class:`repro.core.engine.HotColdFusedTable`):
+  the hot/cold fused scanner (:class:`repro.core.scan.HotColdFusedTable`):
   every cold row compresses against one shared default row, so a cold
   lookup is exactly one sorted probe, never a chain walk.  That bounds
   the slow path's per-byte cost and keeps the §1 immunity argument —

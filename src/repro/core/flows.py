@@ -22,7 +22,8 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dfa.automaton import DFA, DFAError
-from .engine import VectorDFAEngine, build_weight_table
+from .scan.driver import VectorDFAEngine
+from .scan.flat import build_weight_table
 
 __all__ = ["FlowMatcher", "FlowError"]
 

@@ -221,29 +221,24 @@ class CellStringMatcher:
              with_events: bool = False, workers: int = 1,
              backend: Optional[str] = None,
              fuse: bool = True,
-             hot_cold: Optional[bool] = None,
-             two_byte: Optional[bool] = None,
              prefilter: Optional[bool] = None) -> ScanReport:
         """Scan one contiguous buffer; returns counts (and, optionally,
         the full list of match events with end positions).
 
         ``backend`` names a registry entry (``serial``, ``chunked``,
-        ``fused``, ``hotcold``, ``pooled``, ``streaming``, ``cellsim``);
+        ``fused``, ``hotcold``, ``hotcold2``, ``pooled``, ``streaming``,
+        ``cellsim``) and is the one way to force a kernel;
         ``None``/``"auto"`` lets the execution planner choose from the
         input size, ``workers`` and ``with_events`` — preferring one
         shared pass whenever the dictionary was partitioned into
         several slices (``fuse=False`` is the escape hatch back to one
-        pass per slice, ``hot_cold`` overrides the planner's choice
-        between the cache-resident union scan and the stacked fused
-        grid, and ``two_byte`` overrides its choice between the
-        one-byte union scan and the pair-symbol two-byte-stride
-        variant; ``prefilter`` overrides the packed screening stage —
-        ``False`` disables it, ``True`` demands it, honoured even for
-        an explicitly named backend).  ``workers > 1`` routes through
-        the host-parallel layer
-        (shared-memory STTs, a persistent process pool, cross-shard
-        fixpoint repair).  Only the serial reporting backend produces
-        events and per-pattern attribution.
+        pass per slice; ``prefilter`` overrides the packed screening
+        stage — ``False`` disables it, ``True`` demands it, honoured
+        even for an explicitly named backend).  ``workers > 1`` routes
+        through the host-parallel layer (one kernel shared with a
+        persistent process pool, cross-shard fixpoint repair).  Only the
+        serial reporting backend produces events and per-pattern
+        attribution.
         """
         raw = data.encode() if isinstance(data, str) else bytes(data)
         if with_events and workers > 1:
@@ -253,7 +248,6 @@ class CellStringMatcher:
         outcome = self._execute(
             ScanRequest(data=raw, workers=workers,
                         with_events=with_events, fuse=fuse,
-                        hot_cold=hot_cold, two_byte=two_byte,
                         prefilter=prefilter), backend)
         return self._report(outcome)
 

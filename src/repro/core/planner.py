@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..cell.local_store import LS_SIZE, LocalStore
-from .engine import HOT_BUDGET_BYTES
+from .scan.base import HOT_BUDGET_BYTES
 from .stt import row_stride
 
 __all__ = ["TilePlan", "plan_tile", "FIGURE3_CASES", "PlanError",
@@ -161,7 +161,7 @@ SERIAL_BYTE_CEILING = 1 << 20
 #: analogue of the tile planner's 256 KB local store.  When the stacked
 #: multi-slice STT would exceed this, the planner prefers the hot/cold
 #: union scan, whose hot partition is budgeted to stay resident
-#: (``engine.HOT_BUDGET_BYTES``) whatever the dictionary's size.
+#: (``scan.base.HOT_BUDGET_BYTES``) whatever the dictionary's size.
 CACHE_BUDGET_BYTES = HOT_BUDGET_BYTES
 
 
@@ -186,8 +186,6 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
                  num_slices: int = 1, fuse: bool = True,
                  exact: bool = False,
                  fused_bytes: Optional[int] = None,
-                 hot_cold: Optional[bool] = None,
-                 two_byte: Optional[bool] = None,
                  pair_fit: bool = False,
                  prefilter: Optional[bool] = None,
                  screenable: bool = False,
@@ -205,7 +203,10 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     dictionary was partitioned (``num_slices > 1``), because D slices
     sharing one pass beat D sequential passes at any size that
     amortises the fixpoint at all; small inputs stay serial.  ``fuse``
-    is the escape hatch (``repro scan --no-fuse``).
+    is the escape hatch (``repro scan --no-fuse``): it keeps the plan
+    on one pass per slice, off both the fused and the union kernels.
+    Forcing one particular kernel is not a planner input — name its
+    backend instead (``repro scan --backend hotcold|hotcold2|fused``).
 
     The hot/cold union scan supersedes the stacked fused pass for
     *exact* dictionaries (``exact=True`` — regex tiles have no union
@@ -213,10 +214,7 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     table (``fused_bytes``) would overflow ``cache_budget``: one
     cache-resident table advances every slice with one gather per byte,
     where the stacked STT pays ``num_slices`` gathers over a footprint
-    that grows with the partition count.  ``hot_cold`` is the request's
-    escape hatch — ``False`` forces the stacked path, ``True`` demands
-    the union scan (still gated on ``exact``), ``None`` lets the
-    footprint rule decide.
+    that grows with the partition count.
 
     Within the union-scan choice, the *two-byte stride* variant
     (``hotcold2``) consumes an input pair per gather over a squared-
@@ -224,12 +222,7 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     caller certifies the full-coverage pair table fits the hot budget
     (``pair_fit=True``, see ``CompiledDictionary.pair_table_fits``) —
     full coverage means the pair loop never escapes, so it strictly
-    dominates the one-byte path.  ``two_byte`` is the escape hatch:
-    ``False`` keeps the one-byte union scan, ``True`` demands the pair
-    path even when the table would not reach full coverage (partial
-    coverage still wins when the hot set absorbs most transitions) and
-    implies the union scan itself, the way ``hot_cold=True`` does —
-    unless ``hot_cold=False`` explicitly pins the stacked path.
+    dominates the one-byte path.
 
     **The prefilter rule** — the one place every backend inherits the
     packed screening stage from: when the request is an in-memory block
@@ -247,8 +240,7 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     plan = _choose_backend(
         nbytes=nbytes, streaming=streaming, workers=workers,
         with_events=with_events, num_slices=num_slices, fuse=fuse,
-        exact=exact, fused_bytes=fused_bytes, hot_cold=hot_cold,
-        two_byte=two_byte, pair_fit=pair_fit,
+        exact=exact, fused_bytes=fused_bytes, pair_fit=pair_fit,
         serial_byte_ceiling=serial_byte_ceiling,
         cache_budget=cache_budget)
     if plan.backend == "streaming" or prefilter is False:
@@ -266,7 +258,6 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
 def _choose_backend(nbytes: Optional[int], streaming: bool, workers: int,
                     with_events: bool, num_slices: int, fuse: bool,
                     exact: bool, fused_bytes: Optional[int],
-                    hot_cold: Optional[bool], two_byte: Optional[bool],
                     pair_fit: bool, serial_byte_ceiling: int,
                     cache_budget: int) -> ExecutionPlan:
     """The backend decision chain (see :func:`plan_backend`)."""
@@ -281,19 +272,14 @@ def _choose_backend(nbytes: Optional[int], streaming: bool, workers: int,
         return ExecutionPlan(
             "pooled", f"{workers} workers amortise the sharded pool")
     if nbytes is not None and nbytes > serial_byte_ceiling:
-        want_hc = hot_cold if hot_cold is not None else (
-            two_byte is True
-            or (fuse and (num_slices > 1
-                          or (fused_bytes or 0) > cache_budget)))
+        want_hc = fuse and (num_slices > 1
+                            or (fused_bytes or 0) > cache_budget)
         if want_hc and exact:
-            want_pair = two_byte if two_byte is not None else pair_fit
-            if want_pair:
+            if pair_fit:
                 return ExecutionPlan(
                     "hotcold2", f"{num_slices} slice(s) share one "
                     f"union pass over {nbytes} bytes at two bytes per "
-                    f"gather; pair table "
-                    + ("fits the hot budget" if pair_fit
-                       else "forced by request"))
+                    f"gather; pair table fits the hot budget")
             return ExecutionPlan(
                 "hotcold", f"{num_slices} slice(s) share one union "
                 f"pass over {nbytes} bytes; hot partition stays "

@@ -31,7 +31,7 @@ from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 from ..cell.memory import BandwidthModel
 from ..dfa.automaton import DFA
 from ..dfa.partition import PartitionedDictionary, partition_patterns
-from .engine import VectorDFAEngine
+from .scan.driver import VectorDFAEngine
 from .schedule import Interval, Schedule, ScheduleError
 
 __all__ = [

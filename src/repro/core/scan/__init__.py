@@ -1,7 +1,5 @@
-"""Staged scan-kernel package.
-
-The monolithic ``core/engine.py`` is split into one module per inner
-loop, a shared driver, and the staged-pipeline machinery:
+"""Staged scan-kernel package: one module per inner loop, a shared
+driver, and the staged-pipeline machinery:
 
 * :mod:`.base` — tuning constants and strip-loop helpers;
 * :mod:`.flat` — flag-encoded flat STT + single-DFA scanner;
@@ -16,8 +14,7 @@ loop, a shared driver, and the staged-pipeline machinery:
 * :mod:`.prefilter` — packed multi-byte fingerprint screening stage;
 * :mod:`.pipeline` — explicit staged :class:`ScanPipeline` assembly.
 
-``core.engine`` remains as a compatibility shim re-exporting this
-package's names.
+Import scan names from this package (or the module defining them).
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from .base import (
     MIN_PIECE,
     SPECULATION_WARMUP,
     STRIP,
-    _env_int,
-    _ragged_segments,
     hotcold_lanes_target,
     hotcold_strip_elems,
 )
@@ -41,14 +36,12 @@ from .driver import (
     ScanDetail,
     StreamResult,
     VectorDFAEngine,
-    _chunked_scan,
-    _transpose_cols,
     count_arr,
     count_arr_detail,
     repair_detail,
 )
 from .flat import FlatScanner, build_flat_table, build_weight_table
-from .fused import FusedScanner, FusedTable, _FusedSliceScanner, fuse_tables
+from .fused import FusedScanner, FusedTable, fuse_tables
 from .hotcold import (
     HotColdFusedScanner,
     HotColdFusedTable,
@@ -59,7 +52,6 @@ from .hotcold import (
 from .hotcold2 import (
     HotCold2Scanner,
     HotCold2Table,
-    _StagedLanes,
     build_hot_cold2_table,
     pair_symbol_table,
 )
@@ -67,7 +59,6 @@ from .bundle import (
     BundleError,
     SharedArrayBundle,
     bundle_from_table,
-    scanner_from_bundle,
     table_from_bundle,
 )
 from .kernels import (

@@ -1,8 +1,7 @@
 """Shared constants and strip-loop helpers for the scan kernels.
 
-Split out of the original monolithic ``core/engine.py``; every tuning
-knob that more than one kernel reads lives here so the kernel modules
-stay dependency-light.
+Every tuning knob that more than one kernel reads lives here so the
+kernel modules stay dependency-light.
 """
 
 from __future__ import annotations

@@ -1,20 +1,17 @@
 """Generic shared-memory manifest for scan-kernel artifacts.
 
-Every kernel used to ship its own ``Shared*Table`` class — four
-near-identical copies of the same pack/attach/unlink choreography.
-:class:`SharedArrayBundle` is the one implementation: an ordered
-manifest of named numpy arrays packed into a single
-``multiprocessing.shared_memory`` segment (8-byte aligned), plus a
-picklable scalar side-channel.  The creator owns the segment and
-unlinks it on close; workers :meth:`attach` in microseconds and get
-zero-copy views.
+:class:`SharedArrayBundle` is the one pack/attach/unlink implementation
+every kernel exports through: an ordered manifest of named numpy arrays
+packed into a single ``multiprocessing.shared_memory`` segment (8-byte
+aligned), plus a picklable scalar side-channel.  The creator owns the
+segment and unlinks it on close; workers :meth:`attach` in microseconds
+and get zero-copy views.
 
 The per-kernel knowledge — which arrays a table exports and how to
 rebuild the table object from attached views — lives in the codec
-functions :func:`bundle_from_table`, :func:`table_from_bundle` and
-:func:`scanner_from_bundle`, keyed by the bundle's ``kind``.  Adding a
-kernel means registering one codec, not writing a fifth shared-table
-class.
+functions :func:`bundle_from_table` and :func:`table_from_bundle`,
+keyed by the bundle's ``kind``.  Adding a kernel means registering one
+codec.
 """
 
 from __future__ import annotations
@@ -25,17 +22,15 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from ..compressed import ColdRowStore
-from .flat import FlatScanner
-from .fused import FusedScanner, FusedTable
-from .hotcold import HotColdFusedScanner, HotColdFusedTable
-from .hotcold2 import HotCold2Scanner, HotCold2Table
+from .fused import FusedTable
+from .hotcold import HotColdFusedTable
+from .hotcold2 import HotCold2Table
 
 __all__ = [
     "SharedArrayBundle",
     "BundleError",
     "bundle_from_table",
     "table_from_bundle",
-    "scanner_from_bundle",
     "bundle_from_compiled",
     "compiled_from_bundle",
 ]
@@ -75,9 +70,9 @@ class SharedArrayBundle:
     Parameters
     ----------
     kind:
-        Codec tag (``"flat"``, ``"fused"``, ``"hotcold"``,
-        ``"hotcold2"``, ...) recorded in the manifest so the attaching
-        side knows how to rebuild the kernel's table object.
+        Codec tag (``"flat_set"``, ``"fused"``, ``"hotcold"``,
+        ``"hotcold2"``, ``"compiled"``) recorded in the manifest so the
+        attaching side knows how to rebuild the kernel's table object.
     arrays:
         Ordered ``(name, ndarray)`` pairs; each is made contiguous and
         copied into the segment at an 8-byte-aligned offset.
@@ -170,10 +165,6 @@ class SharedArrayBundle:
     def table(self):
         """Rebuild this bundle's kernel table object (codec dispatch)."""
         return table_from_bundle(self)
-
-    def scanner(self):
-        """Build a scanner running directly on the shared views."""
-        return scanner_from_bundle(self)
 
     @property
     def size_bytes(self) -> int:
@@ -328,22 +319,6 @@ def table_from_bundle(bundle: SharedArrayBundle):
             pair_budget_bytes=bundle.scalar("pair_budget_bytes"),
             hot2_mass=bundle.scalar("hot2_mass"))
     raise BundleError(f"no table codec for bundle kind {kind!r}")
-
-
-def scanner_from_bundle(bundle: SharedArrayBundle):
-    """Build a scanner of the bundle's kind on the shared views."""
-    kind = bundle.kind
-    if kind == "flat":
-        return FlatScanner(bundle["flat"], bundle.scalar("symbol_width"),
-                           bundle.scalar("start"),
-                           bundle.scalar("num_states"))
-    if kind == "fused":
-        return FusedScanner(table_from_bundle(bundle))
-    if kind == "hotcold":
-        return HotColdFusedScanner(table_from_bundle(bundle))
-    if kind == "hotcold2":
-        return HotCold2Scanner(table_from_bundle(bundle))
-    raise BundleError(f"no scanner codec for bundle kind {kind!r}")
 
 
 # -- whole-dictionary codec ----------------------------------------------------------

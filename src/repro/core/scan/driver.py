@@ -9,16 +9,15 @@ repair cross-shard guesses incrementally.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ...dfa.automaton import DFA, DFAError
-from .base import (LANES_TARGET, MIN_PIECE, SPECULATION_WARMUP, STRIP,
-                   _ragged_segments)
-from .flat import FlatScanner, build_flat_table, build_weight_table
+from .base import LANES_TARGET, MIN_PIECE, SPECULATION_WARMUP, \
+    _ragged_segments
+from .flat import FlatScanner
 
 
 def _transpose_cols(mat: np.ndarray) -> np.ndarray:
@@ -353,21 +352,6 @@ class VectorDFAEngine:
         count, _ = count_arr(self.scanner, arr, chunks, self.start,
                              max_passes=max_passes)
         return count
-
-    def count_block_from(self, block: bytes, entry_state: int,
-                         chunks: int = 256,
-                         max_passes: Optional[int] = None
-                         ) -> Tuple[int, int]:
-        """Like :meth:`count_block` but from an arbitrary entry state,
-        also returning the exit state — the primitive the host-parallel
-        shard repair (:mod:`repro.parallel`) is built on."""
-        if chunks <= 0:
-            raise DFAError("chunks must be positive")
-        if not 0 <= entry_state < self.dfa.num_states:
-            raise DFAError(f"entry state {entry_state} out of range")
-        arr = self._folded_view(block)
-        return count_arr(self.scanner, arr, chunks, entry_state,
-                         max_passes=max_passes)
 
     def count_block_reference(self, block: bytes) -> int:
         """Unchunked scan (for cross-validation in tests)."""

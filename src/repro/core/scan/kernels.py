@@ -13,9 +13,22 @@ verifier and the differential tests stop branching on scanner types:
     directly comparable across kernels.
 ``count_total(arr, chunks)``
     Exact whole-dictionary total over one block — the headline scan.
-``count_arr_detail(arr, chunks)``
-    Per-slice speculation ledgers (:class:`ScanDetail`) for the
-    sharded pool's incremental repair.
+``count_arr_detail(arr, chunks, entry_states)``
+    One speculation ledger (:class:`ScanDetail`) per *chain*, entered
+    from ``entry_states`` (one per chain; ``None`` = start states).  A
+    chain is one independently carried automaton: a slice for the flat
+    and fused kernels, the single union automaton for the union
+    kernels (whose ledgers stay in union state space).  This is what
+    the sharded pool scans shards and carries state across buffers
+    with.
+``repair(chain, arr, detail, entry_state, chunks)``
+    Exact ``(count, exit_state)`` of one chain over ``arr`` from a
+    corrected entry state, reusing ``detail`` (see
+    :func:`~repro.core.scan.driver.repair_detail`).
+``input_bound``
+    Exclusive upper bound on scannable input byte values, or ``None``
+    when the table reads raw bytes (a fold composed into it, or a
+    256-column alphabet).
 ``run_streams(streams)``
     Ragged multi-stream totals: ``(totals, finals)`` with ``totals``
     shaped ``(num_streams,)`` (whole-dictionary, weighted) and
@@ -37,16 +50,17 @@ scanner plumbed through five layers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
-from ...dfa.automaton import DFAError
+from ...dfa.alphabet import FoldMap
+from ...dfa.automaton import DFA, DFAError
 from .base import _ragged_segments, hotcold_lanes_target
-from .bundle import SharedArrayBundle, bundle_from_table, \
-    scanner_from_bundle
-from .driver import ScanDetail, count_arr, count_arr_detail
-from .flat import FlatScanner
+from .bundle import SharedArrayBundle, bundle_from_table
+from .driver import ScanDetail, count_arr, count_arr_detail, \
+    repair_detail
+from .flat import FlatScanner, build_flat_table, build_weight_table
 
 __all__ = ["ScanKernel", "FlatKernel", "FusedKernel", "HotColdKernel",
            "HotCold2Kernel", "KERNELS", "register_kernel", "get_kernel",
@@ -121,8 +135,18 @@ class ScanKernel:
         return int(counts.sum())
 
     def count_arr_detail(self, arr: np.ndarray, chunks: Optional[int]
+                         = None, entry_states: Optional[Sequence[int]]
                          = None) -> List[ScanDetail]:
         raise NotImplementedError
+
+    def repair(self, chain: int, arr: np.ndarray, detail: ScanDetail,
+               entry_state: int, chunks: Optional[int] = None
+               ) -> Tuple[int, int]:
+        raise NotImplementedError
+
+    @property
+    def input_bound(self) -> Optional[int]:
+        return None
 
     def run_streams(self, streams: Sequence[bytes]
                     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,7 +174,7 @@ class FlatKernel(ScanKernel):
     name = "flat"
 
     def __init__(self, scanners: List[FlatScanner],
-                 weights: List[np.ndarray]) -> None:
+                 weights: List[Optional[np.ndarray]]) -> None:
         self.scanners = scanners
         self.weights = weights
 
@@ -160,6 +184,43 @@ class FlatKernel(ScanKernel):
                    [w for _, w in compiled.tables()])
 
     @classmethod
+    def from_dfas(cls, dfas: Union[DFA, Sequence[DFA]],
+                  fold: Optional[FoldMap] = None,
+                  weighted: bool = False) -> "FlatKernel":
+        """A kernel over bare automata sharing one alphabet.
+
+        With ``fold`` the byte→symbol map is composed into each table
+        (256 columns), so the kernel scans raw bytes; without it,
+        inputs must be pre-folded symbols.  ``weighted`` counts each
+        state's match multiplicity (event semantics) instead of one
+        per final-state entry (the paper's kernel counting).
+        """
+        if isinstance(dfas, DFA):
+            dfas = [dfas]
+        if not dfas:
+            raise DFAError("at least one DFA required")
+        alphabet = dfas[0].alphabet_size
+        if any(d.alphabet_size != alphabet for d in dfas):
+            raise DFAError("DFAs must share one alphabet")
+        fold_table = None
+        width = alphabet
+        if fold is not None:
+            if fold.width != alphabet:
+                raise DFAError(f"fold width {fold.width} != DFA alphabet "
+                               f"{alphabet}")
+            fold_table = fold.np_table
+            width = 256
+        scanners, weights = [], []
+        for d in dfas:
+            flat, _ = build_flat_table(d.transitions, d.final_mask,
+                                       fold_table=fold_table)
+            scanners.append(FlatScanner(flat, width, d.start,
+                                        d.num_states))
+            weights.append(build_weight_table(d, width) if weighted
+                           else None)
+        return cls(scanners, weights)
+
+    @classmethod
     def from_bundle(cls, bundle: SharedArrayBundle) -> "FlatKernel":
         ndfa = bundle.scalar("num_dfas")
         starts = bundle.scalar("starts")
@@ -167,7 +228,8 @@ class FlatKernel(ScanKernel):
         width = bundle.scalar("symbol_width")
         scanners = [FlatScanner(bundle[f"flat{d}"], width, starts[d],
                                 nstates[d]) for d in range(ndfa)]
-        return cls(scanners, [bundle[f"weights{d}"] for d in range(ndfa)])
+        return cls(scanners, [bundle.get(f"weights{d}")
+                              for d in range(ndfa)])
 
     @property
     def table(self) -> List[np.ndarray]:
@@ -191,11 +253,23 @@ class FlatKernel(ScanKernel):
             exits[d] = exit_state
         return counts, exits
 
-    def count_arr_detail(self, arr, chunks=None):
+    def count_arr_detail(self, arr, chunks=None, entry_states=None):
         chunks = chunks or self.chunks
-        return [count_arr_detail(sc, arr, chunks, sc.start,
-                                 weights=self.weights[d])
+        return [count_arr_detail(
+                    sc, arr, chunks,
+                    sc.start if entry_states is None else entry_states[d],
+                    weights=self.weights[d])
                 for d, sc in enumerate(self.scanners)]
+
+    def repair(self, chain, arr, detail, entry_state, chunks=None):
+        return repair_detail(self.scanners[chain], arr, detail,
+                             entry_state, chunks or self.chunks,
+                             weights=self.weights[chain])
+
+    @property
+    def input_bound(self):
+        width = self.scanners[0].alphabet_size
+        return None if width == 256 else width
 
     def run_streams(self, streams):
         nstreams = len(streams)
@@ -232,7 +306,8 @@ class FlatKernel(ScanKernel):
         arrays = []
         for d, sc in enumerate(self.scanners):
             arrays.append((f"flat{d}", sc.flat))
-            arrays.append((f"weights{d}", self.weights[d]))
+            if self.weights[d] is not None:
+                arrays.append((f"weights{d}", self.weights[d]))
         return SharedArrayBundle("flat_set", arrays, {
             "num_dfas": self.num_slices,
             "starts": [sc.start for sc in self.scanners],
@@ -253,7 +328,7 @@ class _ScannerKernel(ScanKernel):
             raise DFAError(
                 f"kernel {cls.name!r} cannot attach a {bundle.kind!r} "
                 f"bundle")
-        return cls(scanner_from_bundle(bundle))
+        return cls(bundle.table().scanner())
 
     @property
     def table(self):
@@ -293,10 +368,22 @@ class FusedKernel(_ScannerKernel):
                                              weights=fs.weights)
         return counts, np.asarray(exits, dtype=np.int64)
 
-    def count_arr_detail(self, arr, chunks=None):
+    def count_arr_detail(self, arr, chunks=None, entry_states=None):
         fs = self.scanner
         return fs.count_arr_detail_per_dfa(arr, chunks or self.chunks,
+                                           entry_states=entry_states,
                                            weights=fs.weights)
+
+    def repair(self, chain, arr, detail, entry_state, chunks=None):
+        fs = self.scanner
+        return repair_detail(fs.slice_view(chain), arr, detail,
+                             entry_state, chunks or self.chunks,
+                             weights=fs.weights)
+
+    @property
+    def input_bound(self):
+        width = self.table.symbol_width
+        return None if width == 256 else width
 
     def run_streams(self, streams):
         fs = self.scanner
@@ -345,10 +432,17 @@ class _UnionKernel(_ScannerKernel):
                            lanes_target=hotcold_lanes_target())
         return int(cnt)
 
-    def count_arr_detail(self, arr, chunks=None):
+    def count_arr_detail(self, arr, chunks=None, entry_states=None):
         sc = self.scanner
-        return [count_arr_detail(sc, arr, chunks or self.chunks,
-                                 sc.start, weights=sc.weights)]
+        entry = sc.start if entry_states is None else entry_states[0]
+        return [count_arr_detail(sc, arr, chunks or self.chunks, entry,
+                                 weights=sc.weights,
+                                 lanes_target=hotcold_lanes_target())]
+
+    def repair(self, chain, arr, detail, entry_state, chunks=None):
+        sc = self.scanner
+        return repair_detail(sc, arr, detail, entry_state,
+                             chunks or self.chunks, weights=sc.weights)
 
     def run_streams(self, streams):
         sc = self.scanner

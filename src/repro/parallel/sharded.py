@@ -1,28 +1,30 @@
 """Sharded, speculative, exact multicore scanning — pipelined.
 
 :class:`ShardedScanner` is the paper's Figure 6a made host-parallel: one
-compiled artifact, many identical scan units, disjoint slices of the
-input.  A persistent worker pool attaches the :class:`SharedSTT` once
-(zero-copy, the "load the local store once" moment) and, since PR 2, a
-persistent :class:`StagingRing` of input buffers (the Figure 5
-double-buffering moment): the host fills the idle ring buffer while the
-workers scan the resident one, so arbitrarily large inputs — blocks,
-chunk iterators, files — stream through a fixed shared-memory footprint
-with no per-scan segment create/attach at all.
+kernel, many identical scan units, disjoint slices of the input.  The
+scanner runs exactly one registered
+:class:`~repro.core.scan.kernels.ScanKernel`; a persistent worker pool
+attaches it once through the kernel's ``shared_export()`` /
+``from_bundle()`` pair (zero-copy, the "load the local store once"
+moment), together with a persistent :class:`StagingRing` of input
+buffers (the Figure 5 double-buffering moment): the host fills the idle
+ring buffer while the workers scan the resident one, so arbitrarily
+large inputs — blocks, chunk iterators, files — stream through a fixed
+shared-memory footprint.
 
-Exactness is kept by speculation plus repair, at two nested levels.
-Every worker scans its shard from a *guessed* entry state (Ko et al.'s
-speculative DFA membership idea), and returns a per-segment
-:class:`~repro.core.engine.ScanDetail` ledger.  The host chains the true
-states across shards and across ring buffers; a wrong guess is repaired
-*incrementally* — leading ledger segments are rescanned until the state
-trajectory rejoins the recorded one — so a mis-speculated shard costs
-about one sub-chunk, not a full rescan.  Counts are bit-identical to a
-serial scan by determinism.
-
-Multiple DFAs (e.g. the slices of a partitioned dictionary) ride the
-same pool, the same ring and the same staged bytes; their repair chains
-are independent but their scan tasks share the worker queue.
+Exactness is kept by speculation plus repair.  Every worker scans its
+shard from *guessed* entry states (Ko et al.'s speculative DFA
+membership idea) and returns one
+:class:`~repro.core.scan.driver.ScanDetail` ledger per *chain* — one
+independently carried automaton: a slice for the flat and fused
+kernels, the union automaton for the hot/cold kernels.  The host chains
+the true states across shards and ring buffers; a wrong guess is
+repaired *incrementally* through the kernel's per-chain ``repair`` —
+leading ledger segments are rescanned until the trajectory rejoins the
+recorded one — so a mis-speculated shard costs about one sub-chunk, not
+a full rescan.  The in-process path (``workers=1`` and small blocks)
+carries the same per-chain ledgers from chunk to chunk.  Counts are
+bit-identical to a serial scan by determinism.
 """
 
 from __future__ import annotations
@@ -30,22 +32,15 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from collections import deque
-from typing import (Dict, Iterable, IO, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, Iterable, IO, List, Optional, Sequence, Union
 
 import numpy as np
 from multiprocessing import shared_memory
 
-from ..dfa.alphabet import FoldMap
-from ..dfa.automaton import DFA
-from ..core.engine import (FusedTable, HotCold2Table,
-                           HotColdFusedTable, ScanDetail,
-                           StreamResult, count_arr, count_arr_detail,
-                           repair_detail)
-from ..core.scan.bundle import SharedArrayBundle, scanner_from_bundle
+from ..core.scan.bundle import SharedArrayBundle
+from ..core.scan.driver import ScanDetail
+from ..core.scan.kernels import ScanKernel, get_kernel
 from .ring import StagingRing
-from .shared_stt import (SharedFusedTable, SharedHotCold2Table,
-                         SharedHotColdTable, SharedSTT)
 
 __all__ = ["ShardedScanner", "ShardedScanError"]
 
@@ -59,137 +54,43 @@ class ShardedScanError(Exception):
     """Raised for invalid inputs or configurations of the sharded path."""
 
 
+def _check_symbols(bound: Optional[int], raw: np.ndarray) -> None:
+    if bound is not None and raw.size and int(raw.max()) >= bound:
+        raise ShardedScanError(
+            "input contains symbols outside the alphabet and the kernel "
+            "was built without a fold map")
+
+
 # -- worker side -------------------------------------------------------------------
 
 _WORKER: Dict = {}
 
 
-def _bundle_input_bound(bundle: SharedArrayBundle) -> Optional[int]:
-    """Exclusive upper bound on scannable input byte values, or
-    ``None`` when every byte is scannable (fold composed into the
-    table, or a full-byte alphabet)."""
-    if bundle.kind in ("hotcold", "hotcold2"):
-        return None
-    width = bundle.scalar("symbol_width")
-    if width == 256:
-        return None
-    if bundle.kind == "flat":
-        return bundle.scalar("alphabet_size")
-    return width
-
-
-def _init_worker(bundle_metas: List[Dict],
+def _init_worker(kernel_name: str, bundle_meta: Dict,
                  ring_names: List[str]) -> None:
-    """Pool initializer: attach every shared bundle exactly once.
-
-    One manifest-driven path for every artifact layout — each bundle's
-    ``kind`` says how its scanner seats into the worker state.  Per-DFA
-    ``flat`` bundles become one classic task chain each; a ``fused``
-    bundle's scanner is kept whole (its slice views serve the classic
-    task shapes while the fused task scans all DFAs at once); a
-    ``hotcold``/``hotcold2`` bundle's single union scanner *is* the
-    whole dictionary, and every classic single-chain task shape works
-    unchanged on top of it (the union scanners are
-    :class:`FlatScanner`-compatible).
-    """
-    bundles = [SharedArrayBundle.attach(m) for m in bundle_metas]
-    scanners: List = []
-    weights: List = []
-    bounds: List = []
-    fused = None
-    for b in bundles:
-        sc = scanner_from_bundle(b)
-        if b.kind == "fused":
-            fused = sc
-            scanners.extend(sc.slice_view(d)
-                            for d in range(sc.num_dfas))
-            weights.extend([sc.weights] * sc.num_dfas)
-            bounds.extend([_bundle_input_bound(b)] * sc.num_dfas)
-        elif b.kind == "flat":
-            scanners.append(sc)
-            weights.append(b["weights"])
-            bounds.append(_bundle_input_bound(b))
-        else:
-            scanners.append(sc)
-            weights.append(sc.weights)
-            bounds.append(_bundle_input_bound(b))
-    _WORKER["artifacts"] = bundles
-    _WORKER["fused"] = fused
-    _WORKER["scanners"] = scanners
-    _WORKER["weights"] = weights
-    _WORKER["bounds"] = bounds
+    """Pool initializer: attach the kernel's bundle and the staging
+    ring exactly once."""
+    bundle = SharedArrayBundle.attach(bundle_meta)
+    _WORKER["bundle"] = bundle
+    _WORKER["kernel"] = get_kernel(kernel_name).from_bundle(bundle)
     _WORKER["ring"] = [shared_memory.SharedMemory(name=n)
                        for n in ring_names]
 
 
-def _check_symbols(bound: Optional[int], raw: np.ndarray) -> None:
-    if bound is not None and raw.size and int(raw.max()) >= bound:
-        raise ShardedScanError(
-            "input contains symbols outside the alphabet and the scanner "
-            "was built without a fold map")
-
-
-def _scan_shard(dfa_idx: int, seg_idx: int, lo: int, hi: int,
-                entry_state: int, chunks: int,
-                weighted: bool) -> ScanDetail:
-    """One speculative shard scan over a staged ring buffer.
-
-    Gathers directly on the staged bytes (the fold, if any, is composed
-    into the shared table) and returns the per-segment ledger the host's
-    incremental repair runs on.
-    """
-    scanner = _WORKER["scanners"][dfa_idx]
+def _scan_shard(seg_idx: int, lo: int, hi: int,
+                entry_states: Optional[Sequence[int]],
+                chunks: int) -> List[ScanDetail]:
+    """One speculative shard scan over a staged ring buffer: every
+    chain's ledger, from ``entry_states`` (``None`` = start states)."""
+    kernel = _WORKER["kernel"]
     shm = _WORKER["ring"][seg_idx]
     raw = np.frombuffer(shm.buf, dtype=np.uint8, count=hi - lo, offset=lo)
     try:
-        _check_symbols(_WORKER["bounds"][dfa_idx], raw)
-        weights = _WORKER["weights"][dfa_idx] if weighted else None
-        return count_arr_detail(scanner, raw, chunks, entry_state,
-                                weights=weights)
+        _check_symbols(kernel.input_bound, raw)
+        return kernel.count_arr_detail(raw, chunks,
+                                       entry_states=entry_states)
     finally:
         raw = None
-
-
-def _scan_shard_fused(seg_idx: int, lo: int, hi: int,
-                      entry_states: Optional[Tuple[int, ...]],
-                      chunks: int, weighted: bool) -> List[ScanDetail]:
-    """One speculative shard scan advancing *every* DFA in one pass over
-    the staged bytes; returns one ledger per DFA for the host's
-    per-chain incremental repair."""
-    fused = _WORKER["fused"]
-    shm = _WORKER["ring"][seg_idx]
-    raw = np.frombuffer(shm.buf, dtype=np.uint8, count=hi - lo, offset=lo)
-    try:
-        _check_symbols(_WORKER["bounds"][0], raw)
-        weights = fused.weights if weighted else None
-        return fused.count_arr_detail_per_dfa(raw, chunks,
-                                              entry_states=entry_states,
-                                              weights=weights)
-    finally:
-        raw = None
-
-
-def _scan_streams_shard(dfa_idx: int, shm_name: str, first: int, count: int,
-                        length: int, weighted: bool
-                        ) -> Tuple[List[int], List[int]]:
-    """Lockstep-scan streams ``first .. first+count`` of the staged batch."""
-    scanner = _WORKER["scanners"][dfa_idx]
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        raw = np.frombuffer(shm.buf, dtype=np.uint8, count=count * length,
-                            offset=first * length)
-        _check_symbols(_WORKER["bounds"][dfa_idx], raw)
-        cols = np.ascontiguousarray(raw.reshape(count, length).T)
-        ptrs = np.full(count, scanner.pointer(scanner.start),
-                       dtype=np.int32)
-        counts = np.zeros(count, dtype=np.int64)
-        weights = _WORKER["weights"][dfa_idx] if weighted else None
-        fin = scanner.scan_cols(cols, ptrs, counts, weights=weights)
-        states = scanner.state_of(fin)
-        raw = cols = None
-        return counts.tolist(), [int(s) for s in states]
-    finally:
-        shm.close()
 
 
 # -- producers ---------------------------------------------------------------------
@@ -249,109 +150,38 @@ class _FileFeed:
 # -- host side ---------------------------------------------------------------------
 
 class ShardedScanner:
-    """Exact multicore scanning of one or more DFAs over streamed input.
+    """Exact multicore scanning of one kernel over streamed input.
 
     Parameters
     ----------
-    dfas:
-        One automaton or a sequence (e.g. a partitioned dictionary's
-        slices).  All must share one alphabet.
+    kernel:
+        The :class:`~repro.core.scan.kernels.ScanKernel` every worker
+        runs, e.g. ``ScanContext.kernel(name)`` over a compiled
+        dictionary or :meth:`FlatKernel.from_dfas` over bare automata.
+        Its tables decide what the scan counts (weighted or not) and
+        whether inputs are raw bytes or pre-folded symbols.
     workers:
         Pool size; defaults to ``os.cpu_count()``.  ``workers=1`` runs
-        fully in-process (no pool, no ring, no staging copies) with
+        fully in-process (no pool, no ring, no shared segment) with
         identical semantics.
-    fold:
-        Optional byte→symbol reduction.  When given, inputs are *raw*
-        bytes and the fold is composed into the shared flat table, so
-        workers gather on staged bytes directly; without it, inputs must
-        be pre-folded symbols.
     chunks:
-        Lockstep chunk floor *inside* each worker's shard scan (widened
-        automatically on large shards, see ``engine.LANES_TARGET``).
-    weighted:
-        Count per-state match multiplicities (one per dictionary entry
-        recognized, as the event-reporting paths do) instead of one per
-        final-state entry (the paper's kernel counting).
+        Lockstep chunk floor *inside* each shard scan (widened
+        automatically on large shards, see ``scan.base.LANES_TARGET``).
     min_shard_bytes:
         Blocks smaller than ``workers × min_shard_bytes`` skip the pool.
     ring_bytes / ring_depth:
         Per-buffer capacity and buffer count of the staging ring.  The
         defaults (two 16 MB buffers) suit bulk scanning; tests shrink
         them to force many buffer boundaries.
-    tables:
-        Optional per-DFA pre-built ``(flat, weights)`` pairs (one per
-        DFA, same order) placed into the shared segments as-is instead
-        of re-encoding each DFA — the compiled-artifact fast path.
-    fused_table:
-        Optional pre-built :class:`~repro.core.engine.FusedTable` (e.g.
-        ``compiled.fused_table()``).  When given, *one* stacked-table
-        segment replaces the per-DFA segments: pool workers attach it
-        once and every shard task advances all DFAs in a single pass
-        over the staged bytes (lanes = DFAs × chunks) instead of one
-        task per DFA per shard.  ``tables`` is ignored in this mode —
-        the per-DFA scanners become slice views into the stacked table.
-    hot_cold_table:
-        Optional pre-built
-        :class:`~repro.core.engine.HotColdFusedTable` (e.g.
-        ``compiled.hot_cold_table()``).  When given, ``dfas`` must be
-        the single *union* automaton the table encodes: one
-        cache-resident shared segment carries the whole dictionary and
-        every shard task is one single-chain union scan —
-        whole-dictionary totals only (per-slice attribution stays with
-        the stacked-table modes).  Mutually exclusive with
-        ``fused_table``/``tables``.
-    hot_cold2_table:
-        Optional pre-built :class:`~repro.core.engine.HotCold2Table`
-        (e.g. ``compiled.hot_cold2_table()``): the hot/cold sharing
-        mode upgraded to the pair-symbol two-byte-stride scan.  Same
-        contract as ``hot_cold_table`` (single union automaton, totals
-        only); mutually exclusive with every other table argument.
     """
 
-    def __init__(self, dfas: Union[DFA, Sequence[DFA]],
+    def __init__(self, kernel: ScanKernel,
                  workers: Optional[int] = None,
-                 fold: Optional[FoldMap] = None,
                  chunks: int = 256,
-                 weighted: bool = False,
                  min_shard_bytes: int = 1 << 16,
                  ring_bytes: int = DEFAULT_RING_BYTES,
                  ring_depth: int = 2,
-                 start_method: Optional[str] = None,
-                 tables: Optional[Sequence[tuple]] = None,
-                 fused_table: Optional[FusedTable] = None,
-                 hot_cold_table: Optional[HotColdFusedTable] = None,
-                 hot_cold2_table: Optional[HotCold2Table] = None
-                 ) -> None:
-        if isinstance(dfas, DFA):
-            dfas = [dfas]
-        if not dfas:
-            raise ShardedScanError("at least one DFA required")
-        if tables is not None and len(tables) != len(dfas):
-            raise ShardedScanError(
-                f"{len(tables)} table pairs for {len(dfas)} DFAs")
-        if fused_table is not None and fused_table.num_dfas != len(dfas):
-            raise ShardedScanError(
-                f"fused table stacks {fused_table.num_dfas} DFAs, "
-                f"got {len(dfas)}")
-        if hot_cold2_table is not None:
-            if hot_cold_table is not None:
-                raise ShardedScanError(
-                    "hot_cold2_table is mutually exclusive with "
-                    "hot_cold_table")
-            hot_cold_table = hot_cold2_table.base
-        if hot_cold_table is not None:
-            if fused_table is not None or tables is not None:
-                raise ShardedScanError(
-                    "hot_cold(2)_table is mutually exclusive with "
-                    "fused_table/tables")
-            if len(dfas) != 1 or \
-                    dfas[0].num_states != hot_cold_table.num_states:
-                raise ShardedScanError(
-                    "hot_cold(2)_table needs exactly the union "
-                    "automaton it encodes")
-        alphabet = dfas[0].alphabet_size
-        if any(d.alphabet_size != alphabet for d in dfas):
-            raise ShardedScanError("DFAs must share one alphabet")
+                 start_method: Optional[str] = None) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
@@ -360,134 +190,55 @@ class ShardedScanner:
             raise ShardedScanError("chunks must be >= 1")
         if ring_bytes < 1:
             raise ShardedScanError("ring_bytes must be >= 1")
+        self.kernel = kernel
         self.workers = int(workers)
-        self.fold = fold
         self.chunks = int(chunks)
-        self.weighted = bool(weighted)
         self.min_shard_bytes = int(min_shard_bytes)
-        self.alphabet_size = alphabet
         #: Bookkeeping of the most recent scan (bytes staged, ring
         #: buffers cycled, tasks dispatched, shards repaired) — used by
         #: the benchmarks and the streaming entry points.
         self.last_scan_stats: Dict[str, int] = {}
-        self._num_dfas = len(dfas)
-        self._stts: List[SharedSTT] = []
-        self._fused_stt: Optional[SharedFusedTable] = None
-        self._hc_stt: Optional[SharedHotColdTable] = None
-        self._hc2_stt: Optional[SharedHotCold2Table] = None
-        self._fused = None
-        self._scanners: List = []
-        self._weight_tables: List = []
+        # An empty scan's ledgers carry each chain's start state.
+        self._starts = [d.entry_state for d in kernel.count_arr_detail(
+            np.zeros(0, dtype=np.uint8))]
+        self._bundle: Optional[SharedArrayBundle] = None
         self._ring: Optional[StagingRing] = None
         self._pool = None
         self._closed = False
         try:
-            if hot_cold2_table is not None:
-                self._hc2_stt = SharedHotCold2Table(hot_cold2_table)
-                scanner = self._hc2_stt.scanner()
-                self._scanners = [scanner]
-                self._weight_tables = [scanner.weights]
-                bundle_metas = [self._hc2_stt.meta()]
-            elif hot_cold_table is not None:
-                self._hc_stt = SharedHotColdTable(hot_cold_table)
-                scanner = self._hc_stt.scanner()
-                self._scanners = [scanner]
-                self._weight_tables = [scanner.weights]
-                bundle_metas = [self._hc_stt.meta()]
-            elif fused_table is not None:
-                self._fused_stt = SharedFusedTable(fused_table)
-                self._fused = self._fused_stt.scanner()
-                self._scanners = [self._fused.slice_view(d)
-                                  for d in range(self._num_dfas)]
-                self._weight_tables = [self._fused.weights] * \
-                    self._num_dfas
-                bundle_metas = [self._fused_stt.meta()]
-            else:
-                self._stts = [
-                    SharedSTT(d, fold=fold,
-                              tables=tables[i] if tables is not None
-                              else None)
-                    for i, d in enumerate(dfas)]
-                self._scanners = [stt.scanner() for stt in self._stts]
-                self._weight_tables = [stt.weights for stt in self._stts]
-                bundle_metas = [stt.meta() for stt in self._stts]
             if self.workers > 1:
+                self._bundle = kernel.shared_export()
                 self._ring = StagingRing(int(ring_bytes), int(ring_depth))
                 ctx = mp.get_context(start_method)
                 self._pool = ctx.Pool(
                     self.workers, initializer=_init_worker,
-                    initargs=(bundle_metas, self._ring.names))
+                    initargs=(kernel.name, self._bundle.meta(),
+                              self._ring.names))
         except BaseException:
             self.close()
             raise
 
-    @classmethod
-    def from_compiled(cls, compiled, workers: Optional[int] = None,
-                      fuse: bool = True, hot_cold: bool = False,
-                      two_byte: bool = False,
-                      **kwargs) -> "ShardedScanner":
-        """A scanner over a :class:`~repro.core.compiled.CompiledDictionary`.
-
-        Reuses the artifact's fold-composed flat tables and weight
-        tables verbatim (no re-encoding) and counts with the
-        dictionary's event semantics (``weighted=True``).  Multi-slice
-        dictionaries share one stacked-table segment by default
-        (``fuse=False`` restores one segment and one task chain per
-        slice).  ``hot_cold=True`` (exact dictionaries only) shares the
-        cache-resident hot/cold union table instead: one single-chain
-        segment for the whole dictionary, whole-dictionary totals only.
-        ``two_byte=True`` upgrades that sharing to the pair-symbol
-        two-byte-stride table (implies ``hot_cold``).
-        """
-        kwargs.setdefault("weighted", True)
-        if hot_cold or two_byte:
-            if not compiled.supports_hot_cold:
-                raise ShardedScanError(
-                    "hot/cold sharing needs the union automaton; regex "
-                    "dictionaries have none")
-            if two_byte:
-                kwargs.setdefault("hot_cold2_table",
-                                  compiled.hot_cold2_table())
-            else:
-                kwargs.setdefault("hot_cold_table",
-                                  compiled.hot_cold_table())
-            return cls([compiled.union_dfa()], workers=workers,
-                       fold=compiled.fold, **kwargs)
-        if fuse and compiled.num_slices > 1 \
-                and "fused_table" not in kwargs:
-            kwargs["fused_table"] = compiled.fused_table()
-        if kwargs.get("fused_table") is None:
-            kwargs.setdefault("tables", compiled.tables())
-        return cls(list(compiled.dfas), workers=workers,
-                   fold=compiled.fold, **kwargs)
-
     @property
-    def num_dfas(self) -> int:
-        return self._num_dfas
-
-    @property
-    def fused(self) -> bool:
-        """Whether this scanner runs on one stacked multi-DFA table."""
-        return self._fused is not None
+    def num_chains(self) -> int:
+        """Independently counted automata: one per slice for the flat
+        and fused kernels, one for the union kernels."""
+        return len(self._starts)
 
     # -- block scanning -----------------------------------------------------------
 
     def count_block(self, block: bytes) -> int:
-        """Exact total count over one contiguous input.
+        """Exact total count over one contiguous input (raw bytes when
+        the kernel composes a fold, pre-folded symbols otherwise)."""
+        return sum(self.count_per_chain(block))
 
-        Raw bytes when a fold map was given, pre-folded symbols
-        otherwise.  Sums over all DFAs.
-        """
-        return sum(self.count_per_dfa(block))
-
-    def count_per_dfa(self, block) -> List[int]:
-        """Per-DFA exact counts over one contiguous input."""
+    def count_per_chain(self, block) -> List[int]:
+        """Per-chain exact counts over one contiguous input."""
         self._check_open()
         n = len(block)
         if n == 0:
             self.last_scan_stats = {"bytes": 0, "buffers": 0, "tasks": 0,
                                     "repaired_shards": 0}
-            return [0] * self.num_dfas
+            return [0] * self.num_chains
         if self._pool is None or n < self.workers * self.min_shard_bytes:
             return self._count_local([block])
         return self._pipeline(_ChunkFeed([block]))
@@ -498,14 +249,14 @@ class ShardedScanner:
         """Exact total count over a stream of bytes-like chunks.
 
         The concatenation of the chunks is scanned as one contiguous
-        input — chunk boundaries are invisible to the DFAs — without
+        input — chunk boundaries are invisible to the automata — without
         ever materializing it: chunks are packed into the staging ring
-        (or, pool-less, scanned with a carried DFA state).
+        (or, pool-less, scanned with carried chain states).
         """
-        return sum(self.count_stream_per_dfa(chunks))
+        return sum(self.count_stream_per_chain(chunks))
 
-    def count_stream_per_dfa(self, chunks: Iterable) -> List[int]:
-        """Per-DFA exact counts over a stream of bytes-like chunks."""
+    def count_stream_per_chain(self, chunks: Iterable) -> List[int]:
+        """Per-chain exact counts over a stream of bytes-like chunks."""
         self._check_open()
         if self._pool is None:
             return self._count_local(chunks)
@@ -530,44 +281,23 @@ class ShardedScanner:
 
     # -- in-process path ----------------------------------------------------------
 
-    def _as_symbols(self, chunk) -> np.ndarray:
-        """A scannable uint8 view of one input chunk (no fold copies:
-        folds are composed into the tables)."""
-        arr = np.frombuffer(chunk, dtype=np.uint8)
-        if self.fold is None and self.alphabet_size < 256 and arr.size \
-                and int(arr.max()) >= self.alphabet_size:
-            raise ShardedScanError(
-                "input contains symbols outside the alphabet and the "
-                "scanner was built without a fold map")
-        return arr
-
     def _count_local(self, chunks: Iterable) -> List[int]:
-        """Serial scan with carried DFA states — the workers=1 and
-        small-input path, streaming-capable.  With a stacked table every
-        DFA advances in one pass per chunk."""
-        totals = [0] * self.num_dfas
-        carry = [sc.start for sc in self._scanners]
+        """Serial scan with carried chain states — the workers=1 and
+        small-input path, streaming-capable."""
+        totals = [0] * self.num_chains
+        carry = list(self._starts)
         nbytes = 0
         for chunk in chunks:
-            arr = self._as_symbols(chunk)
+            arr = np.frombuffer(chunk, dtype=np.uint8)
             if arr.size == 0:
                 continue
+            _check_symbols(self.kernel.input_bound, arr)
             nbytes += arr.size
-            if self._fused is not None:
-                weights = self._fused.weights if self.weighted else None
-                counts, states = self._fused.count_arr_per_dfa(
-                    arr, self.chunks, entry_states=carry,
-                    weights=weights)
-                for d in range(self.num_dfas):
-                    totals[d] += int(counts[d])
-                    carry[d] = int(states[d])
-            else:
-                for d, scanner in enumerate(self._scanners):
-                    weights = self._weight_tables[d] if self.weighted \
-                        else None
-                    cnt, carry[d] = count_arr(scanner, arr, self.chunks,
-                                              carry[d], weights=weights)
-                    totals[d] += cnt
+            details = self.kernel.count_arr_detail(arr, self.chunks,
+                                                   entry_states=carry)
+            for c, detail in enumerate(details):
+                totals[c] += detail.total
+                carry[c] = detail.exit_state
         self.last_scan_stats = {"bytes": nbytes, "buffers": 0, "tasks": 0,
                                 "repaired_shards": 0}
         return totals
@@ -577,10 +307,11 @@ class ShardedScanner:
     def _pipeline(self, feed) -> List[int]:
         """Double-buffered scan: fill ring buffer ``k+1`` while the pool
         scans buffer ``k``; repair speculative entries incrementally at
-        collection time, carrying the true DFA states across buffers."""
+        collection time, carrying the true chain states across
+        buffers."""
         ring = self._ring
-        totals = [0] * self.num_dfas
-        carry = [sc.start for sc in self._scanners]
+        totals = [0] * self.num_chains
+        carry = list(self._starts)
         pending: deque = deque()
         stats = {"bytes": 0, "buffers": 0, "tasks": 0,
                  "repaired_shards": 0}
@@ -596,7 +327,7 @@ class ShardedScanner:
             pending.append((seg, bounds, jobs))
             stats["bytes"] += n
             stats["buffers"] += 1
-            stats["tasks"] += sum(len(row) for row in jobs)
+            stats["tasks"] += len(jobs)
             seg = (seg + 1) % ring.depth
         while pending:
             self._collect(pending.popleft(), carry, totals, stats)
@@ -604,35 +335,19 @@ class ShardedScanner:
         return totals
 
     def _dispatch(self, seg: int, n: int, carry: List[int]):
-        """One task per worker per buffer (fused: all DFAs per task;
-        classic: one task chain per DFA).  Shard 0 is entered from the
-        latest *known* carry state (exact if this buffer was dispatched
-        after its predecessor drained, speculative when the predecessor
-        is still in flight); inner shards guess the start state, as
-        convergent security DFAs overwhelmingly reach it."""
+        """One task per worker per buffer, each scanning every chain.
+        Shard 0 is entered from the latest *known* carry states (exact
+        if this buffer was dispatched after its predecessor drained,
+        speculative when the predecessor is still in flight); inner
+        shards guess the start states, as convergent security DFAs
+        overwhelmingly reach them."""
         shards = min(self.workers, n)
         bounds = np.linspace(0, n, shards + 1).astype(np.int64)
-        if self._fused is not None:
-            jobs = [[
-                self._pool.apply_async(
-                    _scan_shard_fused,
-                    (seg, int(bounds[i]), int(bounds[i + 1]),
-                     tuple(carry) if i == 0 else None, self.chunks,
-                     self.weighted))
-                for i in range(shards)
-            ]]
-            return jobs, bounds
-        jobs = []
-        for d in range(self.num_dfas):
-            start = self._scanners[d].start
-            jobs.append([
-                self._pool.apply_async(
+        jobs = [self._pool.apply_async(
                     _scan_shard,
-                    (d, seg, int(bounds[i]), int(bounds[i + 1]),
-                     carry[d] if i == 0 else start, self.chunks,
-                     self.weighted))
-                for i in range(shards)
-            ])
+                    (seg, int(bounds[i]), int(bounds[i + 1]),
+                     list(carry) if i == 0 else None, self.chunks))
+                for i in range(shards)]
         return jobs, bounds
 
     def _collect(self, staged, carry: List[int], totals: List[int],
@@ -640,108 +355,33 @@ class ShardedScanner:
         """Drain one buffer's tasks; chain true states through its
         shards, repairing wrong speculative entries from the ledgers."""
         seg, bounds, jobs = staged
-        # Drain every task before touching any shared-table view: a
-        # worker exception propagates with this frame in its traceback,
-        # and a bound view would then block the segment unmap in close().
-        if self._fused is not None:
-            per_shard = [job.get() for job in jobs[0]]
-            details = [[shard[d] for shard in per_shard]
-                       for d in range(self.num_dfas)]
-        else:
-            details = [[job.get() for job in row] for row in jobs]
-        for d in range(self.num_dfas):
-            scanner = self._scanners[d]
-            weights = self._weight_tables[d] if self.weighted else None
-            state = carry[d]
-            for i, detail in enumerate(details[d]):
+        # Drain every task before touching any shared view: a worker
+        # exception propagates with this frame in its traceback, and a
+        # bound ring view would then block the segment unmap in close().
+        per_shard = [job.get() for job in jobs]
+        for c in range(self.num_chains):
+            state = carry[c]
+            for i, ledgers in enumerate(per_shard):
+                detail = ledgers[c]
                 if state == detail.entry_state:
-                    totals[d] += detail.total
+                    totals[c] += detail.total
                     state = detail.exit_state
-                else:
-                    lo, hi = int(bounds[i]), int(bounds[i + 1])
-                    arr = self._ring.array(seg, hi - lo, offset=lo)
-                    try:
-                        cnt, state = repair_detail(
-                            scanner, arr, detail, state, self.chunks,
-                            weights=weights)
-                    finally:
-                        arr = None
-                    totals[d] += cnt
-                    stats["repaired_shards"] += 1
-            carry[d] = state
-
-    # -- stream batches -----------------------------------------------------------
-
-    def run_streams(self, streams: Sequence[bytes]) -> StreamResult:
-        """Scan equal-length independent streams, sharded by stream index.
-
-        Single-DFA scanners only (per-stream counts for several DFAs
-        would be ambiguous); semantics match
-        :meth:`VectorDFAEngine.run_streams`.
-        """
-        self._check_open()
-        if self.num_dfas != 1:
-            raise ShardedScanError(
-                "run_streams needs a single-DFA scanner")
-        if not len(streams):
-            raise ShardedScanError("at least one stream required")
-        length = len(streams[0])
-        if any(len(s) != length for s in streams):
-            raise ShardedScanError("streams must have equal length")
-        n = len(streams)
-        scanner = self._scanners[0]
-        if length == 0:
-            return StreamResult(np.zeros(n, dtype=np.int64),
-                                np.full(n, scanner.start, dtype=np.int32))
-        if self._pool is None or \
-                n * length < self.workers * self.min_shard_bytes or n < 2:
-            return self._run_streams_local(streams, length)
-
-        shm = shared_memory.SharedMemory(create=True, size=n * length)
-        try:
-            for i, s in enumerate(streams):
-                shm.buf[i * length:(i + 1) * length] = s
-            splits = np.linspace(0, n, min(self.workers, n) + 1) \
-                .astype(np.int64)
-            jobs = []
-            for w in range(len(splits) - 1):
-                first, last = int(splits[w]), int(splits[w + 1])
-                if last > first:
-                    jobs.append((first, self._pool.apply_async(
-                        _scan_streams_shard,
-                        (0, shm.name, first, last - first, length,
-                         self.weighted))))
-            counts = np.zeros(n, dtype=np.int64)
-            states = np.full(n, scanner.start, dtype=np.int32)
-            for first, job in jobs:
-                part_counts, part_states = job.get()
-                counts[first:first + len(part_counts)] = part_counts
-                states[first:first + len(part_states)] = part_states
-            return StreamResult(counts, states)
-        finally:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-
-    def _run_streams_local(self, streams: Sequence[bytes],
-                           length: int) -> StreamResult:
-        scanner = self._scanners[0]
-        n = len(streams)
-        cols = np.empty((length, n), dtype=np.uint8)
-        for i, s in enumerate(streams):
-            cols[:, i] = self._as_symbols(s)
-        ptrs = np.full(n, scanner.pointer(scanner.start), dtype=np.int32)
-        counts = np.zeros(n, dtype=np.int64)
-        weights = self._weight_tables[0] if self.weighted else None
-        fin = scanner.scan_cols(cols, ptrs, counts, weights=weights)
-        return StreamResult(counts, scanner.state_of(fin).astype(np.int32))
+                    continue
+                lo, hi = int(bounds[i]), int(bounds[i + 1])
+                arr = self._ring.array(seg, hi - lo, offset=lo)
+                try:
+                    cnt, state = self.kernel.repair(c, arr, detail, state,
+                                                    self.chunks)
+                finally:
+                    arr = None
+                totals[c] += cnt
+                stats["repaired_shards"] += 1
+            carry[c] = state
 
     # -- lifetime -----------------------------------------------------------------
 
     def _check_open(self) -> None:
-        if self._closed or not self._scanners:
+        if self._closed:
             raise ShardedScanError("scanner is closed")
 
     def close(self) -> None:
@@ -755,23 +395,9 @@ class ShardedScanner:
                 pool.close()
                 pool.join()
         finally:
-            # Scanners alias the shared segments; drop them before
-            # closing, or the memoryview export blocks the unmap.
-            self._scanners = []
-            self._weight_tables = []
-            self._fused = None
-            stts, self._stts = self._stts, []
-            for stt in stts:
-                stt.close()
-            fstt, self._fused_stt = self._fused_stt, None
-            if fstt is not None:
-                fstt.close()
-            hstt, self._hc_stt = self._hc_stt, None
-            if hstt is not None:
-                hstt.close()
-            h2stt, self._hc2_stt = self._hc2_stt, None
-            if h2stt is not None:
-                h2stt.close()
+            bundle, self._bundle = self._bundle, None
+            if bundle is not None:
+                bundle.close()
             ring, self._ring = self._ring, None
             if ring is not None:
                 ring.close()
@@ -789,7 +415,5 @@ class ShardedScanner:
             pass
 
     def __repr__(self) -> str:
-        return (f"ShardedScanner(dfas={self.num_dfas}, "
-                f"workers={self.workers}, "
-                f"fold={'composed' if self.fold else 'no'}, "
-                f"weighted={self.weighted})")
+        return (f"ShardedScanner(kernel={self.kernel.name!r}, "
+                f"chains={self.num_chains}, workers={self.workers})")

@@ -11,7 +11,7 @@ from repro.core.composition import (
     parallel,
     series,
 )
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import VectorDFAEngine
 from repro.dfa import AhoCorasick, build_dfa, partition_patterns
 from repro.workloads import plant_matches, random_payload
 

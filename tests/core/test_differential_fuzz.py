@@ -242,32 +242,20 @@ class TestPolicyPathDifferential:
 
 
 class TestConflictValidation:
-    """Contradictory ScanRequest flag combos raise a BackendError
-    naming the conflict — before any planning or table building."""
-
-    def test_two_byte_conflicts_with_no_hot_cold(self):
-        with ScanContext(compiled_with_slices(1)) as ctx:
-            with pytest.raises(BackendError, match="two_byte.*hot_cold"):
-                execute(ctx, ScanRequest(data=b"x", two_byte=True,
-                                         hot_cold=False))
+    """Contradictory requests (flag combos, or a backend the request or
+    dictionary cannot use) raise a BackendError naming the conflict."""
 
     def test_union_flags_conflict_with_events(self):
         with ScanContext(compiled_with_slices(1)) as ctx:
-            with pytest.raises(BackendError, match="with_events"):
-                execute(ctx, ScanRequest(data=b"x", hot_cold=True,
-                                         with_events=True))
-
-    def test_union_flags_conflict_with_no_fuse(self):
-        with ScanContext(compiled_with_slices(1)) as ctx:
-            with pytest.raises(BackendError, match="fuse=False"):
-                execute(ctx, ScanRequest(data=b"x", two_byte=True,
-                                         fuse=False))
+            with pytest.raises(BackendError, match="match events"):
+                execute(ctx, ScanRequest(data=b"x", with_events=True),
+                        backend="hotcold")
 
     def test_union_flags_need_exact_dictionary(self):
         regex = compile_dictionary(["vi.us"], regex=True)
         with ScanContext(regex) as ctx:
             with pytest.raises(BackendError, match="union automaton"):
-                execute(ctx, ScanRequest(data=b"x", hot_cold=True))
+                execute(ctx, ScanRequest(data=b"x"), backend="hotcold")
 
     def test_prefilter_conflicts_with_stream_input(self):
         with ScanContext(compiled_with_slices(1)) as ctx:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import VectorDFAEngine
 from repro.dfa import AhoCorasick, DFAError, build_dfa
 from repro.workloads import plant_matches, random_payload
 

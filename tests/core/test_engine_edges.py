@@ -6,9 +6,9 @@ sharded/streaming paths."""
 import numpy as np
 import pytest
 
-from repro.core.engine import (LANES_TARGET, MIN_PIECE, VectorDFAEngine,
-                               build_weight_table, count_arr,
-                               count_arr_detail, repair_detail)
+from repro.core.scan import (LANES_TARGET, MIN_PIECE, FlatKernel,
+                             VectorDFAEngine, build_weight_table, count_arr,
+                             count_arr_detail, repair_detail)
 from repro.dfa.aho_corasick import AhoCorasick
 from repro.dfa.alphabet import case_fold_32
 from repro.dfa.automaton import DFAError
@@ -20,6 +20,11 @@ PATTERNS = [b"abab", b"ba"]
 
 def _dfa():
     return AhoCorasick([FOLD.fold_bytes(p) for p in PATTERNS], 32).to_dfa()
+
+
+def _flat():
+    """The fold-composed flat kernel over :func:`_dfa` (raw-byte input)."""
+    return FlatKernel.from_dfas(_dfa(), fold=FOLD)
 
 
 def _corpus(n: int) -> bytes:
@@ -144,14 +149,14 @@ class TestShardedEdges:
         eng = VectorDFAEngine(_dfa())
         raw = _corpus(n)
         expected = eng.count_block_reference(FOLD.fold_bytes(raw))
-        with ShardedScanner(_dfa(), workers=1, fold=FOLD) as scanner:
+        with ShardedScanner(_flat(), workers=1) as scanner:
             assert scanner.count_block(raw) == expected
 
     def test_pooled_tiny_shards(self):
         # min_shard_bytes=1 forces the pool + ring even for inputs so
         # small every worker gets a near-empty shard.
         eng = VectorDFAEngine(_dfa())
-        with ShardedScanner(_dfa(), workers=2, fold=FOLD,
+        with ShardedScanner(_flat(), workers=2,
                             min_shard_bytes=1, ring_bytes=64) as scanner:
             for n in (1, 2, 63, 64, 65, 200):
                 raw = _corpus(n)
@@ -164,13 +169,13 @@ class TestShardedEdges:
         expected = eng.count_block_reference(FOLD.fold_bytes(raw))
         chunks = [b""] + [raw[i:i + 1] for i in range(150)] + [b""] \
             + [raw[150:]]
-        with ShardedScanner(_dfa(), workers=1, fold=FOLD) as scanner:
+        with ShardedScanner(_flat(), workers=1) as scanner:
             assert scanner.count_stream(iter(chunks)) == expected
-        with ShardedScanner(_dfa(), workers=2, fold=FOLD,
+        with ShardedScanner(_flat(), workers=2,
                             min_shard_bytes=1, ring_bytes=32) as scanner:
             assert scanner.count_stream(iter(chunks)) == expected
 
     def test_empty_stream(self):
-        with ShardedScanner(_dfa(), workers=1, fold=FOLD) as scanner:
+        with ShardedScanner(_flat(), workers=1) as scanner:
             assert scanner.count_stream(iter([])) == 0
             assert scanner.count_stream(iter([b"", b""])) == 0

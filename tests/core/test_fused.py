@@ -11,11 +11,12 @@ import pytest
 from repro.baselines.naive import NaiveMatcher
 from repro.core.backends import ScanContext, ScanRequest, execute
 from repro.core.compiled import ArtifactCache, compile_dictionary
-from repro.core.engine import (DFAError, FlatScanner, FusedScanner,
-                               count_arr, fuse_tables)
+from repro.core.scan import (FlatKernel, FlatScanner, FusedKernel,
+                             SharedArrayBundle, count_arr, fuse_tables)
+from repro.dfa.automaton import DFAError
 from repro.core.planner import plan_backend
 from repro.dfa.alphabet import case_fold_32
-from repro.parallel import ShardedScanner, SharedFusedTable
+from repro.parallel import ShardedScanner
 
 # A dictionary wide enough that max_states budgets can partition it
 # into 1, 2, 4 or 8 slices.  Self-overlapping and substring-nested
@@ -176,7 +177,7 @@ class TestFusedDifferential:
         assert int(counts.sum()) == len(compiled.match_events(raw))
 
     def test_details_repairable_via_slice_views(self):
-        from repro.core.engine import repair_detail
+        from repro.core.scan import repair_detail
         compiled = compiled_with_slices(4)
         fs = compiled.fused_scanner()
         rng = random.Random(11)
@@ -249,7 +250,7 @@ class TestFusedBackend:
         raw = b"virus tac abab " * 200000       # past the serial ceiling
         with ScanContext(compiled) as ctx:
             auto = execute(ctx, ScanRequest(data=raw))
-            fused = execute(ctx, ScanRequest(data=raw, hot_cold=False))
+            fused = execute(ctx, ScanRequest(data=raw), backend="fused")
             classic = execute(ctx, ScanRequest(data=raw, fuse=False))
         # union table, one pass — at pair stride when the squared
         # table reaches full coverage
@@ -264,33 +265,31 @@ class TestFusedBackend:
 class TestSharedFusedTable:
     def test_attach_scans_identically(self):
         compiled = compiled_with_slices(4)
-        table = compiled.fused_table()
+        kernel = FusedKernel.from_compiled(compiled)
         raw = b"attack virus BABA abab worm " * 50
         arr = np.frombuffer(raw, dtype=np.uint8)
-        want_c, want_x = compiled.fused_scanner().count_arr_per_dfa(
-            arr, 8)
-        with SharedFusedTable(table) as owner:
-            attached = SharedFusedTable.attach(owner.meta())
+        want_c, want_x = kernel.count_arr_per_dfa(arr, 8)
+        with kernel.shared_export() as owner:
+            peer = SharedArrayBundle.attach(owner.meta())
             try:
-                got_c, got_x = attached.scanner().count_arr_per_dfa(
-                    arr, 8)
+                attached = FusedKernel.from_bundle(peer)
+                got_c, got_x = attached.count_arr_per_dfa(arr, 8)
                 assert np.array_equal(got_c, want_c)
                 assert np.array_equal(got_x, want_x)
             finally:
-                attached.close()
+                attached = None
+                peer.close()
 
     def test_sharded_scanner_fused_matches_events(self):
         compiled = compiled_with_slices(4)
         raw = (b"attack virus BABA abab worm exploit " * 400)
         expected = len(compiled.match_events(raw))
-        with ShardedScanner.from_compiled(compiled,
-                                          workers=2) as scanner:
-            assert scanner.fused
-            assert scanner.count_block(raw) == expected
-        with ShardedScanner.from_compiled(compiled, workers=2,
-                                          fuse=False) as scanner:
-            assert not scanner.fused
-            assert scanner.count_block(raw) == expected
+        for kernel in (FusedKernel.from_compiled(compiled),
+                       FlatKernel.from_compiled(compiled)):
+            with ShardedScanner(kernel, workers=2,
+                                min_shard_bytes=0) as scanner:
+                assert scanner.num_chains == compiled.num_slices
+                assert scanner.count_block(raw) == expected
 
 
 class TestCacheRoundtrip:

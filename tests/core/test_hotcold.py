@@ -15,10 +15,11 @@ from repro.core.backends import (BackendError, ScanContext, ScanRequest,
 from repro.core.compiled import (ArtifactCache, COUNTERS,
                                  TABLE_FORMAT_VERSION,
                                  compile_dictionary)
-from repro.core.engine import (DFAError, FlatScanner, HotColdFusedScanner,
-                               count_arr)
+from repro.core.scan import (FlatScanner, HotColdFusedScanner,
+                             HotColdKernel, SharedArrayBundle, count_arr)
+from repro.dfa.automaton import DFAError
 from repro.core.planner import CACHE_BUDGET_BYTES, plan_backend
-from repro.parallel import ShardedScanner, SharedHotColdTable
+from repro.parallel import ShardedScanner
 
 # Same dictionary shape as test_fused: wide enough for max_states to
 # partition into 1/2/4/8 slices, with self-overlap and substring
@@ -237,10 +238,17 @@ class TestPlannerSelection:
         assert plan.backend != "hotcold"
 
     def test_explicit_override_wins_both_ways(self):
-        assert plan_backend(nbytes=self.NB, num_slices=1, exact=True,
-                            hot_cold=True).backend == "hotcold"
-        assert plan_backend(nbytes=self.NB, num_slices=4, exact=True,
-                            hot_cold=False).backend != "hotcold"
+        # Forcing a kernel is the backend name's job, not the planner's:
+        # it wins over the footprint rule in both directions.
+        raw = b"a virus, a WORM, abab attack " * 100
+        for compiled, backend in ((compile_dictionary([b"virus"]),
+                                   "hotcold"),
+                                  (compiled_with_slices(4), "fused")):
+            with ScanContext(compiled) as ctx:
+                out = execute(ctx, ScanRequest(raw), backend=backend)
+                ref = execute(ctx, ScanRequest(raw), backend="serial")
+            assert out.backend == backend
+            assert out.total_matches == ref.total_matches > 0
 
 
 class TestBackendExecution:
@@ -251,15 +259,15 @@ class TestBackendExecution:
     def test_auto_selects_hotcold_and_counts_match(self):
         compiled = compiled_with_slices(4)
         ctx = ScanContext(compiled)
-        # With no override the planner may upgrade to the two-byte
-        # pair path when its full-coverage table fits the budget;
-        # two_byte=False pins the one-byte union scan under test here.
-        auto = execute(ctx, ScanRequest(self.RAW, two_byte=False))
+        # The planner may upgrade to the two-byte pair path when its
+        # full-coverage table fits the budget; the backend name pins
+        # the one-byte union scan under test here.
+        pinned = execute(ctx, ScanRequest(self.RAW), backend="hotcold")
         forced = execute(ctx, ScanRequest(self.RAW), backend="fused")
-        assert auto.backend == "hotcold"
-        assert auto.total_matches == forced.total_matches
-        assert auto.stats["hot_states"] >= 1
-        assert 0.0 <= auto.stats["hot_hit_rate"] <= 1.0
+        assert pinned.backend == "hotcold"
+        assert pinned.total_matches == forced.total_matches
+        assert pinned.stats["hot_states"] >= 1
+        assert 0.0 <= pinned.stats["hot_hit_rate"] <= 1.0
         free = execute(ctx, ScanRequest(self.RAW))
         assert free.backend == ("hotcold2" if compiled.pair_table_fits()
                                 else "hotcold")
@@ -268,13 +276,13 @@ class TestBackendExecution:
     def test_escape_hatch_disables_hotcold(self):
         compiled = compiled_with_slices(4)
         out = execute(ScanContext(compiled),
-                      ScanRequest(self.RAW, hot_cold=False))
-        assert out.backend != "hotcold"
+                      ScanRequest(self.RAW, fuse=False))
+        assert out.backend == "chunked"
 
     def test_regex_context_refuses_hotcold(self):
         compiled = compile_dictionary(["vi.us", "wo?rm"], regex=True)
         with pytest.raises(BackendError, match="union automaton"):
-            ScanContext(compiled).hot_cold()
+            ScanContext(compiled).kernel("hotcold")
         out = execute(ScanContext(compiled), ScanRequest(self.RAW))
         assert out.backend != "hotcold"
 
@@ -282,25 +290,20 @@ class TestBackendExecution:
 class TestSharedHotCold:
     def test_segment_roundtrip_and_attach(self):
         compiled = compiled_with_slices(4)
-        table = compiled.hot_cold_table()
+        kernel = HotColdKernel.from_compiled(compiled)
         raw = _corpus(random.Random(53), 3000)
         arr = np.frombuffer(raw, dtype=np.uint8)
-        ref, _ = count_arr(compiled.hot_cold_scanner(), arr, 16,
-                           table.start,
-                           weights=compiled.hot_cold_scanner().weights)
-        shared = SharedHotColdTable(table)
-        attached = SharedHotColdTable.attach(shared.meta())
-        try:
-            sc = attached.scanner()
-            got, _ = count_arr(sc, arr, 16, sc.start,
-                               weights=sc.weights)
-            assert int(got) == int(ref)
-            assert attached.table.num_hot == table.num_hot
-            assert attached.input_bound is None
-        finally:
-            sc = None
-            attached.close()
-            shared.close()
+        ref = kernel.count_total(arr, 16)
+        with kernel.shared_export() as shared:
+            peer = SharedArrayBundle.attach(shared.meta())
+            try:
+                attached = HotColdKernel.from_bundle(peer)
+                assert attached.count_total(arr, 16) == ref
+                assert attached.table.num_hot == kernel.table.num_hot
+                assert attached.input_bound is None
+            finally:
+                attached = None
+                peer.close()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sharded_scanner_hot_cold_mode(self, workers):
@@ -309,16 +312,17 @@ class TestSharedHotCold:
         arr = np.frombuffer(raw, dtype=np.uint8)
         hc = compiled.hot_cold_scanner()
         ref, _ = count_arr(hc, arr, 64, hc.start, weights=hc.weights)
-        with ShardedScanner.from_compiled(compiled, workers=workers,
-                                          hot_cold=True) as s:
+        with ShardedScanner(HotColdKernel.from_compiled(compiled),
+                            workers=workers) as s:
             assert s.count_block(raw) == int(ref)
 
     def test_sharded_hot_cold_rejects_regex(self):
-        from repro.parallel import ShardedScanError
         compiled = compile_dictionary(["vi.us"], regex=True)
-        with pytest.raises(ShardedScanError, match="union automaton"):
-            ShardedScanner.from_compiled(compiled, workers=1,
-                                         hot_cold=True)
+        assert not HotColdKernel.supports(compiled)
+        with ScanContext(compiled) as ctx:
+            with pytest.raises(BackendError, match="union automaton"):
+                ctx.kernel("hotcold")
+            assert ctx.batch_kernel_name() == "fused"
 
 
 class TestArtifactMigration:

@@ -14,11 +14,12 @@ from repro.core.backends import (BackendError, ScanContext, ScanRequest,
 from repro.core.compiled import (ArtifactCache, COMPAT_TABLE_FORMAT_VERSIONS,
                                  COUNTERS, TABLE_FORMAT_VERSION,
                                  CompileError, compile_dictionary)
-from repro.core.engine import (HOTCOLD_LANES_TARGET, count_arr,
-                               hotcold_lanes_target, hotcold_strip_elems,
-                               pair_symbol_table)
+from repro.core.scan import (HOTCOLD_LANES_TARGET, HotCold2Kernel,
+                             SharedArrayBundle, count_arr,
+                             hotcold_lanes_target, hotcold_strip_elems,
+                             pair_symbol_table)
 from repro.core.planner import plan_backend
-from repro.parallel import ShardedScanner, SharedHotCold2Table
+from repro.parallel import ShardedScanner
 
 from .test_hotcold import (ALL_COLD_BUDGET, compiled_with_slices, _corpus,
                            per_dfa_reference)
@@ -167,7 +168,7 @@ class TestHotCold2Differential:
         assert int(gexit) == int(wexit)
 
     def test_arbitrary_per_dfa_entries_rejected(self):
-        from repro.core.engine import DFAError
+        from repro.dfa.automaton import DFAError
 
         compiled = compiled_with_slices(2)
         hc2 = compiled.hot_cold2_scanner()
@@ -256,7 +257,7 @@ class TestEnvKnobs:
         monkeypatch.setenv("REPRO_HOTCOLD_LANES", "junk")
         monkeypatch.delenv("REPRO_HOTCOLD_STRIP_ELEMS")
         assert hotcold_lanes_target() == HOTCOLD_LANES_TARGET
-        from repro.core.engine import HOTCOLD_STRIP_ELEMS
+        from repro.core.scan import HOTCOLD_STRIP_ELEMS
         assert hotcold_strip_elems() == HOTCOLD_STRIP_ELEMS
 
     def test_strip_elems_knob_keeps_counts_exact(self, monkeypatch):
@@ -276,33 +277,36 @@ class TestPlannerAndBackend:
 
     def test_planner_upgrades_to_pair_path_on_fit(self):
         plan = plan_backend(nbytes=1 << 22, num_slices=4, exact=True,
-                            hot_cold=True, pair_fit=True)
+                            pair_fit=True)
         assert plan.backend == "hotcold2"
         plan = plan_backend(nbytes=1 << 22, num_slices=4, exact=True,
-                            hot_cold=True, pair_fit=False)
+                            pair_fit=False)
         assert plan.backend == "hotcold"
 
     def test_two_byte_escape_hatch_wins_both_ways(self):
-        forced = plan_backend(nbytes=1 << 22, num_slices=4, exact=True,
-                              hot_cold=True, pair_fit=False,
-                              two_byte=True)
+        # The backend name forces the stride either way, whatever the
+        # planner's pair-fit rule would pick.
+        with ScanContext(compiled_with_slices(4)) as ctx:
+            forced = execute(ctx, ScanRequest(self.RAW),
+                             backend="hotcold2")
+            vetoed = execute(ctx, ScanRequest(self.RAW),
+                             backend="hotcold")
         assert forced.backend == "hotcold2"
-        vetoed = plan_backend(nbytes=1 << 22, num_slices=4, exact=True,
-                              hot_cold=True, pair_fit=True,
-                              two_byte=False)
         assert vetoed.backend == "hotcold"
+        assert forced.total_matches == vetoed.total_matches
 
     def test_two_byte_implies_the_union_scan(self):
-        # Demanding the pair path on an unpartitioned, cache-friendly
-        # dictionary still routes to hotcold2 (like hot_cold=True)...
-        implied = plan_backend(nbytes=1 << 22, num_slices=1, exact=True,
-                               fused_bytes=1 << 10, two_byte=True)
+        # Naming the pair backend on an unpartitioned, cache-friendly
+        # dictionary runs the union scan the planner would not pick...
+        compiled = compile_dictionary([b"virus", b"worm", b"attack"])
+        with ScanContext(compiled) as ctx:
+            implied = execute(ctx, ScanRequest(self.RAW),
+                              backend="hotcold2")
+            # ...while auto-planning keeps the one-table fixpoint.
+            auto = execute(ctx, ScanRequest(self.RAW, prefilter=False))
         assert implied.backend == "hotcold2"
-        # ...unless hot_cold=False explicitly pins the stacked path.
-        pinned = plan_backend(nbytes=1 << 22, num_slices=1, exact=True,
-                              fused_bytes=1 << 10, two_byte=True,
-                              hot_cold=False)
-        assert pinned.backend == "chunked"
+        assert auto.backend == "chunked"
+        assert implied.total_matches == auto.total_matches
 
     def test_backend_exactness_and_stats(self):
         compiled = compiled_with_slices(4)
@@ -317,7 +321,7 @@ class TestPlannerAndBackend:
     def test_regex_context_refuses_pair_scan(self):
         compiled = compile_dictionary(["vi.us", "wo?rm"], regex=True)
         with pytest.raises(BackendError, match="union automaton"):
-            ScanContext(compiled).hot_cold2()
+            ScanContext(compiled).kernel("hotcold2")
         with pytest.raises(CompileError):
             compiled.hot_cold2_table()
 
@@ -333,9 +337,8 @@ class TestPlannerAndBackend:
         kern.reset_stats()
         payloads = [self.RAW[:977], b"", b"virus" * 30, self.RAW[7:400]]
         got, _ = kern.run_streams(payloads)
-        fs = ctx.fused()
-        want = fs.run_streams(payloads, weights=fs.weights)[0]
-        assert np.array_equal(got, np.asarray(want).sum(axis=0))
+        want, _ = ctx.kernel("fused").run_streams(payloads)
+        assert np.array_equal(got, want)
         stats = kern.stats()
         assert stats["steps"] > 0
         assert 0.0 <= stats["hot_hit_rate"] <= 1.0
@@ -346,39 +349,37 @@ class TestPlannerAndBackend:
         m = CellStringMatcher([p.decode() for p in
                                [b"virus", b"worm", b"attack"]])
         text = "a virus, a WORM, attack " * 50_000
-        auto = m.scan(text, two_byte=True, hot_cold=True)
-        pinned = m.scan(text, two_byte=False)
-        assert auto.backend == "hotcold2"
-        assert auto.total_matches == pinned.total_matches
+        pair = m.scan(text, backend="hotcold2")
+        pinned = m.scan(text, backend="hotcold")
+        assert pair.backend == "hotcold2"
+        assert pinned.backend == "hotcold"
+        assert pair.total_matches == pinned.total_matches
 
 
 class TestSharedHotCold2:
     def test_segment_roundtrip_and_attach(self):
         compiled = compiled_with_slices(2)
-        table = compiled.hot_cold2_table()
+        kernel = HotCold2Kernel.from_compiled(compiled)
         rng = random.Random(15)
         raw = _corpus(rng, 9_000)
         arr = np.frombuffer(raw, dtype=np.uint8)
-        want, _ = count_arr(compiled.hot_cold2_scanner(), arr, 8,
-                            table.start,
-                            weights=compiled.hot_cold2_scanner().weights)
-        with SharedHotCold2Table(table) as seg:
-            attached = SharedHotCold2Table.attach(seg.meta())
-            sc = attached.scanner()
-            got, _ = count_arr(sc, arr, 8, sc.start, weights=sc.weights)
-            assert int(got) == int(want)
+        want = kernel.count_total(arr, 8)
+        with kernel.shared_export() as seg:
+            peer = SharedArrayBundle.attach(seg.meta())
+            attached = HotCold2Kernel.from_bundle(peer)
+            assert attached.count_total(arr, 8) == want
             assert attached.table.hot2_flat.base is not None
-            del sc
-            attached.close()
+            del attached
+            peer.close()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sharded_scanner_two_byte_mode(self, workers):
         compiled = compiled_with_slices(2)
         rng = random.Random(16)
         raw = _corpus(rng, 200_000)
-        with ShardedScanner.from_compiled(compiled, workers=workers,
-                                          two_byte=True,
-                                          min_shard_bytes=1 << 12) as sc:
+        with ShardedScanner(HotCold2Kernel.from_compiled(compiled),
+                            workers=workers,
+                            min_shard_bytes=1 << 12) as sc:
             got = sc.count_block(raw)
             streamed = sc.count_stream([raw[:33], b"", raw[33:1234],
                                         raw[1234:]])
@@ -388,12 +389,12 @@ class TestSharedHotCold2:
         assert streamed == want
 
     def test_sharded_two_byte_rejects_regex(self):
-        from repro.parallel import ShardedScanError
-
         compiled = compile_dictionary(["vi.us"], regex=True)
-        with pytest.raises(ShardedScanError, match="union automaton"):
-            ShardedScanner.from_compiled(compiled, workers=1,
-                                         two_byte=True)
+        assert not HotCold2Kernel.supports(compiled)
+        with ScanContext(compiled) as ctx:
+            with pytest.raises(BackendError, match="union automaton"):
+                ctx.kernel("hotcold2")
+            assert ctx.batch_kernel_name() == "fused"
 
 
 class TestArtifactV5:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cell.memory import BandwidthModel
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import VectorDFAEngine
 from repro.core.replacement import (
     HALF_TILE_STT_BYTES,
     ReplacementError,

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import NaiveMatcher, WuManberMatcher
 from repro.core.composition import parallel, series
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import VectorDFAEngine
 from repro.core.matcher import CellStringMatcher
 from repro.core.planner import plan_tile
 from repro.core.replacement import ReplacementMatcher

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import FlatKernel, VectorDFAEngine
 from repro.core.matcher import CellStringMatcher
 from repro.dfa import build_dfa
 from repro.dfa.alphabet import case_fold_32
@@ -36,8 +36,8 @@ def planted(nbytes, seed):
 def tiny_ring(workers, ring_bytes=4096, **kw):
     """A pooled scanner forced through many small staged buffers."""
     kw.setdefault("min_shard_bytes", 0)
-    return ShardedScanner(DFA, workers=workers, ring_bytes=ring_bytes,
-                          **kw)
+    return ShardedScanner(FlatKernel.from_dfas(DFA), workers=workers,
+                          ring_bytes=ring_bytes, **kw)
 
 
 # -- pipelined block parity --------------------------------------------------------
@@ -64,8 +64,9 @@ def test_matches_straddling_staged_buffer_boundaries():
     expected = VectorDFAEngine(dfa).count_block_reference(block)
     assert expected == 3000
     for workers in (2, 4):
-        with ShardedScanner(dfa, workers=workers, min_shard_bytes=0,
-                            ring_bytes=1000, chunks=8) as scanner:
+        with ShardedScanner(FlatKernel.from_dfas(dfa), workers=workers,
+                            min_shard_bytes=0, ring_bytes=1000,
+                            chunks=8) as scanner:
             assert scanner.count_block(block) == expected
             assert scanner.last_scan_stats["buffers"] == 22
             # Entry guesses cannot survive a pattern run; the repair
@@ -79,9 +80,9 @@ def test_multi_dfa_pipeline_counts_are_per_slice():
     block = (bytes([1, 2, 3]) * 5 + bytes([4, 5]) * 7) * 700
     ea = VectorDFAEngine(a).count_block_reference(block)
     eb = VectorDFAEngine(b).count_block_reference(block)
-    with ShardedScanner([a, b], workers=2, min_shard_bytes=0,
-                        ring_bytes=2048) as scanner:
-        assert scanner.count_per_dfa(block) == [ea, eb]
+    with ShardedScanner(FlatKernel.from_dfas([a, b]), workers=2,
+                        min_shard_bytes=0, ring_bytes=2048) as scanner:
+        assert scanner.count_per_chain(block) == [ea, eb]
 
 
 # -- streaming entry points --------------------------------------------------------
@@ -137,8 +138,8 @@ def test_fold_composed_table_matches_folded_reference():
         fold.fold_bytes(raw))
     assert expected > 0
     for workers in (1, 2):
-        with ShardedScanner(dfa, workers=workers, fold=fold,
-                            min_shard_bytes=0,
+        with ShardedScanner(FlatKernel.from_dfas(dfa, fold=fold),
+                            workers=workers, min_shard_bytes=0,
                             ring_bytes=2048) as scanner:
             assert scanner.count_block(raw) == expected
             assert scanner.count_stream([raw[:5000], raw[5000:]]) \
@@ -151,8 +152,8 @@ def test_fold_composed_weighted_counts_match_event_semantics():
     dfa = build_dfa(patterns, 32)
     raw = b" SELECT " * 900
     for workers in (1, 2):
-        with ShardedScanner(dfa, workers=workers, fold=fold,
-                            weighted=True, min_shard_bytes=0,
+        kernel = FlatKernel.from_dfas(dfa, fold=fold, weighted=True)
+        with ShardedScanner(kernel, workers=workers, min_shard_bytes=0,
                             ring_bytes=1536) as scanner:
             assert scanner.count_block(raw) == 1800   # 2 entries x 900
 
@@ -226,9 +227,11 @@ def test_no_shared_memory_segments_leak(tmp_path):
     src = pathlib.Path(__file__).resolve().parents[2] / "src"
     code = (
         "from repro.dfa import build_dfa\n"
+        "from repro.core.scan import FlatKernel\n"
         "from repro.parallel import ShardedScanner\n"
         "dfa = build_dfa([bytes([1, 2, 3])], 32)\n"
-        "with ShardedScanner(dfa, workers=2, min_shard_bytes=0,\n"
+        "with ShardedScanner(FlatKernel.from_dfas(dfa), workers=2,\n"
+        "                    min_shard_bytes=0,\n"
         "                    ring_bytes=4096) as s:\n"
         "    print(s.count_block(bytes([1, 2, 3]) * 2000))\n"
     )

@@ -1,18 +1,18 @@
 """ShardedScanner: exactness against the reference scan, edge shapes,
-weighted semantics, stream batches, and the matcher's workers= path.
+weighted semantics, and the matcher's workers= path.
 
 Blocks are kept small — the point here is bit-identical counts across
 every sharding configuration, not throughput (see
 benchmarks/bench_parallel_scaling.py for that).
 """
 
-import numpy as np
 import pytest
 
-from repro.core.engine import VectorDFAEngine
+from repro.core.scan import FlatKernel, VectorDFAEngine
 from repro.core.matcher import CellStringMatcher, MatcherError
 from repro.dfa import build_dfa
 from repro.dfa.alphabet import case_fold_32
+from repro.dfa.automaton import DFAError
 from repro.parallel import ShardedScanner, ShardedScanError
 from repro.workloads import plant_matches, random_payload, \
     random_signatures
@@ -30,7 +30,8 @@ def planted(nbytes, seed):
 def pooled(workers, **kw):
     """A scanner whose pool path is always taken (no small-input bypass)."""
     kw.setdefault("min_shard_bytes", 0)
-    return ShardedScanner(DFA, workers=workers, **kw)
+    return ShardedScanner(FlatKernel.from_dfas(DFA), workers=workers,
+                          **kw)
 
 
 # -- exactness ---------------------------------------------------------------------
@@ -56,8 +57,8 @@ def test_matches_straddling_every_shard_boundary():
     expected = engine.count_block_reference(block)
     assert expected == 1000
     for workers in (2, 3, 4, 5):
-        with ShardedScanner(dfa, workers=workers, chunks=7,
-                            min_shard_bytes=0) as scanner:
+        with ShardedScanner(FlatKernel.from_dfas(dfa), workers=workers,
+                            chunks=7, min_shard_bytes=0) as scanner:
             assert scanner.count_block(block) == expected
 
 
@@ -77,7 +78,7 @@ def test_more_shards_than_bytes():
 
 def test_workers_1_is_the_in_process_path():
     block = planted(8_000, 21)
-    with ShardedScanner(DFA, workers=1) as scanner:
+    with ShardedScanner(FlatKernel.from_dfas(DFA), workers=1) as scanner:
         assert scanner._pool is None
         assert scanner.count_block(block) == \
             ENGINE.count_block_reference(block)
@@ -85,7 +86,7 @@ def test_workers_1_is_the_in_process_path():
 
 def test_small_input_bypasses_the_pool():
     block = planted(1_000, 22)
-    with ShardedScanner(DFA, workers=2,
+    with ShardedScanner(FlatKernel.from_dfas(DFA), workers=2,
                         min_shard_bytes=1 << 16) as scanner:
         assert scanner._pool is not None
         assert scanner.count_block(block) == \
@@ -104,7 +105,8 @@ def test_workers_fold_raw_traffic():
         fold.fold_bytes(raw))
     assert expected > 0
     for workers in (1, 3):
-        with ShardedScanner(dfa, workers=workers, fold=fold,
+        with ShardedScanner(FlatKernel.from_dfas(dfa, fold=fold),
+                            workers=workers,
                             min_shard_bytes=0) as scanner:
             assert scanner.count_block(raw) == expected
 
@@ -117,26 +119,29 @@ def test_out_of_alphabet_symbols_rejected_without_fold(workers):
 
 
 def test_scan_after_close_raises():
-    scanner = ShardedScanner(DFA, workers=1)
+    scanner = ShardedScanner(FlatKernel.from_dfas(DFA), workers=1)
     scanner.close()
     with pytest.raises(ShardedScanError):
         scanner.count_block(bytes([1, 2, 3]))
     with pytest.raises(ShardedScanError):
-        scanner.count_per_dfa(bytes([1]))
+        scanner.count_per_chain(bytes([1]))
     with pytest.raises(ShardedScanError):
-        scanner.run_streams([bytes([1])])
+        scanner.count_stream([bytes([1])])
     scanner.close()     # close stays idempotent
 
 
 def test_constructor_validation():
+    kernel = FlatKernel.from_dfas(DFA)
     with pytest.raises(ShardedScanError):
-        ShardedScanner([])
+        ShardedScanner(kernel, workers=0)
     with pytest.raises(ShardedScanError):
-        ShardedScanner(DFA, workers=0)
+        ShardedScanner(kernel, chunks=0)
     with pytest.raises(ShardedScanError):
-        ShardedScanner(DFA, chunks=0)
-    with pytest.raises(ShardedScanError):
-        ShardedScanner([DFA, build_dfa([b"\x01"], 16)])
+        ShardedScanner(kernel, ring_bytes=0)
+    with pytest.raises(DFAError):
+        FlatKernel.from_dfas([])
+    with pytest.raises(DFAError):
+        FlatKernel.from_dfas([DFA, build_dfa([b"\x01"], 16)])
 
 
 # -- weighted counting and multi-DFA ------------------------------------------------
@@ -151,10 +156,11 @@ def test_weighted_counts_suffix_patterns_per_entry():
     block = fold.fold_bytes(b" select " * 500)
     plain = VectorDFAEngine(dfa).count_block_reference(block)
     for workers in (1, 2):
-        with ShardedScanner(dfa, workers=workers, weighted=True,
+        with ShardedScanner(FlatKernel.from_dfas(dfa, weighted=True),
+                            workers=workers,
                             min_shard_bytes=0) as scanner:
             assert scanner.count_block(block) == 1000    # 2 entries x 500
-        with ShardedScanner(dfa, workers=workers,
+        with ShardedScanner(FlatKernel.from_dfas(dfa), workers=workers,
                             min_shard_bytes=0) as scanner:
             assert scanner.count_block(block) == plain == 500
 
@@ -165,35 +171,10 @@ def test_multi_dfa_counts_are_per_slice():
     block = (bytes([1, 2, 3]) * 5 + bytes([4, 5]) * 7) * 40
     ea = VectorDFAEngine(a).count_block_reference(block)
     eb = VectorDFAEngine(b).count_block_reference(block)
-    with ShardedScanner([a, b], workers=2, min_shard_bytes=0) as scanner:
-        assert scanner.count_per_dfa(block) == [ea, eb]
+    with ShardedScanner(FlatKernel.from_dfas([a, b]), workers=2,
+                        min_shard_bytes=0) as scanner:
+        assert scanner.count_per_chain(block) == [ea, eb]
         assert scanner.count_block(block) == ea + eb
-
-
-# -- stream batches ----------------------------------------------------------------
-
-
-def test_run_streams_matches_engine():
-    streams = [planted(801, 30 + i) for i in range(7)]
-    expected = ENGINE.run_streams(streams)
-    for workers in (1, 2, 3):
-        with pooled(workers) as scanner:
-            got = scanner.run_streams(streams)
-            assert np.array_equal(got.counts, expected.counts)
-            assert np.array_equal(got.final_states, expected.final_states)
-
-
-def test_run_streams_validation():
-    with pooled(2) as scanner:
-        with pytest.raises(ShardedScanError):
-            scanner.run_streams([])
-        with pytest.raises(ShardedScanError):
-            scanner.run_streams([b"\x01\x02", b"\x01"])
-    a = build_dfa([bytes([1])], 32)
-    b = build_dfa([bytes([2])], 32)
-    with ShardedScanner([a, b], workers=1) as scanner:
-        with pytest.raises(ShardedScanError):
-            scanner.run_streams([bytes([1, 2])])
 
 
 # -- matcher integration ------------------------------------------------------------
