@@ -386,11 +386,12 @@ def _cmd_serve(args) -> int:
                     sig, lambda: loop.create_task(service.shutdown()))
             except NotImplementedError:  # pragma: no cover
                 pass
-        info = service.registry.describe()
-        print(f"serving {info['patterns']} pattern(s) "
-              f"({info['states']} states, {info['slices']} slice(s)) "
+        compiled = service.control.scope(None).compiled
+        print(f"serving {compiled.num_patterns} pattern(s) "
+              f"({compiled.total_states} states, "
+              f"{compiled.num_slices} slice(s)) "
               f"on {service.host}:{service.port} — "
-              f"generation {info['generation']}", flush=True)
+              f"generation {service.control.generation}", flush=True)
         print(f"admission: {config.admission}, {config.max_pending} in "
               f"flight; backend: {config.backend or 'auto'}; "
               f"Ctrl-C or SHUTDOWN to drain", flush=True)

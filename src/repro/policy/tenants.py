@@ -4,7 +4,7 @@ A :class:`Tenant` owns
 
 * a :class:`~repro.service.registry.DictionaryRegistry` — its private
   dictionary generations, hot-swapped on the §6 double-buffer idiom
-  exactly like the daemon's default registry;
+  exactly like a replica's default registry;
 * a :class:`~repro.core.replacement.DoubleBuffer` of
   :class:`~repro.policy.rules.RuleSet` *policy generations* — a rule
   hot-swap stages the new ruleset and promotes it atomically, never
@@ -20,9 +20,9 @@ are dropped.  A rule-free tenant's scan path is the plain registry
 lease + session scan — bit-identical to the tenant-less daemon path,
 which the differential suite pins.
 
-:class:`TenantManager` is the name → tenant table the daemon's TENANT
-verb drives, sharing one artifact cache so identical dictionaries
-across tenants warm-swap for free.
+:class:`TenantManager` is a service replica's name → tenant table; the
+daemon's control plane compiles and binds for it once, then hands the
+results over (:meth:`Tenant.load_compiled`, :meth:`Tenant.set_rules`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from typing import (TYPE_CHECKING, Callable, Dict, Hashable, List,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence, Tuple, Union)
 
 from ..core.backends import ScanOutcome, ScanRequest, execute
 from ..core.replacement import DoubleBuffer
@@ -47,6 +47,18 @@ class TenantError(Exception):
     """Raised for unknown or duplicate tenants."""
 
 
+def _bound(rules: Union[RuleSet, CompiledRuleSet], compiled
+           ) -> Tuple[RuleSet, Optional[CompiledRuleSet]]:
+    """``(ruleset, binding to compiled)`` — the binding is ``None`` when
+    rule-free, reused when ``rules`` is already bound to ``compiled``,
+    else compiled here (:class:`PolicyError` on an unknown pattern)."""
+    if isinstance(rules, CompiledRuleSet):
+        if rules.compiled is compiled:
+            return rules.ruleset, rules if rules.rules else None
+        rules = rules.ruleset
+    return rules, rules.compile(compiled) if rules.rules else None
+
+
 class _PolicyGeneration:
     """One staged/active ruleset (the double buffer's slot value)."""
 
@@ -61,7 +73,7 @@ class Tenant:
     """One tenant's dictionary, policy and verdict state."""
 
     def __init__(self, name: str, patterns: Optional[Sequence] = None, *,
-                 rules: Optional[RuleSet] = None,
+                 rules: Union[None, RuleSet, CompiledRuleSet] = None,
                  fold=None, regex: bool = False,
                  max_states: int = 1 << 30, cache=None,
                  max_flows: int = 65536, session_policy: str = "lru",
@@ -80,20 +92,23 @@ class Tenant:
             session_policy=session_policy, compiled=compiled,
             first_generation=first_generation)
         self.verdicts = VerdictEngine(clock=clock)
-        first = _PolicyGeneration(1, rules or RuleSet())
-        if first.ruleset.rules:
-            # Initial rules must resolve against the initial
-            # dictionary, the same check every later swap runs.
-            try:
-                first.ruleset.compile(self.registry.active.compiled)
-            except PolicyError:
-                self.registry.close()
-                raise
-        self._policy: DoubleBuffer[_PolicyGeneration] = DoubleBuffer(first)
+        # Initial rules must resolve against the initial dictionary,
+        # the same check every later swap runs.
+        try:
+            ruleset, binding = _bound(
+                rules if rules is not None else RuleSet(),
+                self.registry.active.compiled)
+        except PolicyError:
+            self.registry.close()
+            raise
+        self._policy: DoubleBuffer[_PolicyGeneration] = DoubleBuffer(
+            _PolicyGeneration(1, ruleset))
         # (policy gen, dictionary gen) -> CompiledRuleSet; guarded by
         # its own lock — binding compilation is pattern-lookup cheap,
         # but must not race a concurrent swap.
         self._bindings: Dict[Tuple[int, int], Optional[CompiledRuleSet]] = {}
+        if binding is not None:
+            self._bindings[(1, self.registry.generation)] = binding
         self._bind_lock = threading.Lock()
         # Serializes the two swap directions against each other: a
         # policy swap and a dictionary reload each validate the
@@ -111,20 +126,20 @@ class Tenant:
     def policy_generation(self) -> int:
         return self._policy.active.gen_id
 
-    def set_rules(self, rules: RuleSet) -> int:
+    def set_rules(self, rules: Union[RuleSet, CompiledRuleSet]) -> int:
         """Hot-swap the policy: stage, validate against the *active*
         dictionary (fail before promoting, like a reload compile
-        failure), promote atomically.  Returns the policy generation."""
+        failure), promote atomically.  ``rules`` may come already bound
+        to the active dictionary, which spares the compile.  Returns
+        the policy generation."""
         with self._swap_lock:
-            binding: Optional[CompiledRuleSet] = None
             with self.registry.lease() as gen:
-                if rules.rules:
-                    # Surface unknown patterns now; keep the compiled
-                    # binding so the first judged packet pays nothing.
-                    binding = rules.compile(gen.compiled)
+                # Surface unknown patterns now; keep the compiled
+                # binding so the first judged packet pays nothing.
+                ruleset, binding = _bound(rules, gen.compiled)
                 dict_gen = gen.gen_id
             incoming = _PolicyGeneration(
-                self._policy.active.gen_id + 1, rules)
+                self._policy.active.gen_id + 1, ruleset)
             self._policy.stage(incoming)
             self._policy.promote()
             with self._bind_lock:
@@ -135,52 +150,27 @@ class Tenant:
 
     def load_dictionary(self, patterns: Sequence,
                         regex: bool = False) -> ReloadResult:
-        """Hot dictionary reload.  The active ruleset must resolve
-        against the incoming dictionary *before* it is promoted; a
+        """Hot dictionary reload: compile ``patterns`` with the
+        tenant's registry, then :meth:`load_compiled`."""
+        return self.registry.timed(lambda: self.load_compiled(
+            self.registry.compile(patterns, regex)))
+
+    def load_compiled(self, compiled,
+                      generation: Optional[int] = None) -> ReloadResult:
+        """Hot-swap to an already compiled dictionary.  The active
+        ruleset must resolve against it *before* it is promoted; a
         mismatch refuses the reload and leaves the old generation
         serving (policy and dictionary cannot drift apart)."""
         with self._swap_lock:
             active = self._policy.active
-            compiled_binding: List[CompiledRuleSet] = []
-
-            def _validate(compiled) -> None:
-                # Runs inside registry.load, after compile but before
-                # the stage/promote flip: a PolicyError here aborts the
-                # reload with the old dictionary still active.
-                if active.ruleset.rules:
-                    compiled_binding.append(
-                        active.ruleset.compile(compiled))
-
-            result = self.registry.load(patterns, regex=regex,
-                                        validate=_validate)
+            binding = _bound(active.ruleset, compiled)[1]
+            result = self.registry.load_compiled(compiled,
+                                                 generation=generation)
             with self._bind_lock:
                 self._bindings.clear()
-                if compiled_binding:
+                if binding is not None:
                     self._bindings[(active.gen_id, result.generation)] = \
-                        compiled_binding[0]
-            return result
-
-    def load_compiled(self, compiled,
-                      generation: Optional[int] = None) -> ReloadResult:
-        """Hot-swap to an externally compiled dictionary (the pool's
-        worker side of a tenant reload), with the same active-ruleset
-        validation as :meth:`load_dictionary`."""
-        with self._swap_lock:
-            active = self._policy.active
-            compiled_binding: List[CompiledRuleSet] = []
-
-            def _validate(incoming) -> None:
-                if active.ruleset.rules:
-                    compiled_binding.append(
-                        active.ruleset.compile(incoming))
-
-            result = self.registry.load_compiled(
-                compiled, generation=generation, validate=_validate)
-            with self._bind_lock:
-                self._bindings.clear()
-                if compiled_binding:
-                    self._bindings[(active.gen_id, result.generation)] = \
-                        compiled_binding[0]
+                        binding
             return result
 
     def _binding(self, generation) -> Optional[CompiledRuleSet]:
@@ -273,32 +263,28 @@ class Tenant:
 
 
 class TenantManager:
-    """The daemon's name → :class:`Tenant` table.
+    """A replica's name → :class:`Tenant` table.
 
-    Tenants share one artifact cache (identical dictionaries warm-swap
-    across tenants) and the service's flow-table defaults; everything
-    else — dictionary, policy, verdict state, metrics identity — is
+    Tenants share the flow-table defaults; everything else —
+    dictionary, policy, verdict state, metrics identity — is
     per-tenant and never crosses.
     """
 
-    def __init__(self, *, cache=None, max_flows: int = 65536,
-                 session_policy: str = "lru", max_states: int = 1 << 30,
+    def __init__(self, *, max_flows: int = 65536,
+                 session_policy: str = "lru",
                  clock: Callable[[], float] = time.monotonic) -> None:
-        self._cache = cache
         self._max_flows = max_flows
         self._session_policy = session_policy
-        self._max_states = max_states
         self._clock = clock
         self._lock = threading.Lock()
         self._tenants: Dict[str, Tenant] = {}
 
     def create(self, name: str, patterns: Optional[Sequence] = None, *,
-               rules: Optional[RuleSet] = None,
+               rules: Union[None, RuleSet, CompiledRuleSet] = None,
                regex: bool = False, compiled=None,
                first_generation: int = 1) -> Tenant:
         tenant = Tenant(
             name, patterns, rules=rules, regex=regex,
-            max_states=self._max_states, cache=self._cache,
             max_flows=self._max_flows,
             session_policy=self._session_policy, clock=self._clock,
             compiled=compiled, first_generation=first_generation)

@@ -11,11 +11,11 @@ production shape of the reproduction:
 * :mod:`~repro.service.sessions` — flow sessions: per-connection DFA
   state across packet boundaries;
 * :mod:`~repro.service.metrics` — counters and latency histograms;
-* :mod:`~repro.service.daemon` — the asyncio server with admission
-  control and graceful drain;
-* :mod:`~repro.service.pool` / :mod:`~repro.service.worker` — the
-  multi-process gateway mode: a worker fleet attached to the compiled
-  dictionary via shared memory, flows placed by consistent hash;
+* :mod:`~repro.service.daemon` — the asyncio server (admission
+  control, graceful drain) and its control plane;
+* :mod:`~repro.service.worker` / :mod:`~repro.service.pool` — the
+  replicas that serve: one in-process, or a worker fleet attached to
+  each compiled dictionary via shared memory, flows placed by hash;
 * :mod:`~repro.service.client` — the blocking client;
 * :mod:`~repro.service.loadgen` — the closed-/open-loop load
   generator behind ``repro bench-load``.

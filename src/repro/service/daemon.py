@@ -1,84 +1,74 @@
-"""The live scan daemon: asyncio TCP front end over the scan backends.
+"""The live scan daemon: an asyncio TCP front end, one control plane,
+and a fleet of identical replicas behind it.
 
 This is the paper's deployment story running end to end: a resident
 compiled dictionary filters traffic from many concurrent clients while
 the *next* dictionary compiles and swaps in underneath — dynamic STT
 replacement (§6) serving live requests instead of a modelled schedule.
+The layering is the paper's PPE/SPE split, whatever the process count:
 
-Layering:
+* the event loop owns connections, framing and admission control — it
+  never touches a DFA;
+* :class:`ControlPlane` is the PPE.  It holds each scope's compiled
+  dictionary and generation (scope ``""`` is the default dictionary,
+  any other a tenant) and each tenant's ruleset.  ``RELOAD``,
+  ``TENANT``, ``POLICY`` and ``STATS`` are control ops: compile and
+  validate on the control thread, fan out to every replica, merge the
+  acks — one op at a time;
+* each :class:`~repro.service.worker.Replica` is an SPE: dictionary
+  generations, flow sessions, verdict state and data-plane metrics,
+  serving ``SCAN``/``FLOW``/``CLOSE_FLOW`` through its
+  :class:`~repro.service.worker.DataPlane`;
+* :class:`~repro.service.metrics.ServiceMetrics` counts what the
+  gateway sees; ``STATS`` merges it bucket-wise with every replica's.
 
-* the event loop owns connections, framing and admission control —
-  it never touches a DFA;
-* the data verbs (``SCAN``, ``FLOW``, ``CLOSE_FLOW``) have one
-  implementation, :class:`~repro.service.worker.DataPlane`: one-shot
-  scans through the backend registry
-  (:func:`repro.core.backends.execute`), flow packets through the
-  leased generation's :class:`~repro.service.sessions.SessionScanner`.
-  Every data verb takes the same steps in either mode — resolve the
-  tenant, build the op's ``meta``, pick a target, admit, call,
-  release.  In-process the target is the daemon's own ``DataPlane``
-  on a scan thread pool (numpy releases the GIL in the hot gather
-  loops); in pool mode it is a worker process;
-* reloads compile on a dedicated single thread so a large dictionary
-  build can never starve the scan pool, then promote atomically via
-  :class:`~repro.service.registry.DictionaryRegistry`;
-* :class:`~repro.service.metrics.ServiceMetrics` observes everything
-  and the ``STATS`` verb serves the snapshot;
-* the ``TENANT``/``POLICY`` verbs drive a
-  :class:`~repro.policy.tenants.TenantManager`: each tenant gets an
-  isolated dictionary registry, ruleset generation and verdict engine,
-  and ``SCAN``/``FLOW``/``CLOSE_FLOW``/``RELOAD`` route to it when the
-  request names a ``tenant`` (tenant-less requests serve from the
-  default registry exactly as before — the differential suite pins
-  the rule-free tenant path to it bit for bit).
+The serving mode is chosen in one place, :meth:`ScanService.start`,
+which builds the fleet.  In-process (``pool_workers == 0``) it is a
+:class:`~repro.service.worker.LocalFleet` of one replica, handed
+compiled dictionaries as Python objects.  In **pool mode** it is a
+:class:`~repro.service.pool.WorkerPool`: one replica per forked worker
+process, attached to each compiled dictionary through shared memory
+(compile once, map everywhere — workers do **zero** automaton builds,
+and STATS proves it per worker), so the fleet scales across cores
+without sharing a GIL.  Stateless ``SCAN`` stripes to the idlest
+worker; ``FLOW`` pins to the consistent-hash owner of
+``(tenant, flow_id)``.
 
 **Admission control**: a data verb is admitted only while its target
-has fewer than its cap of requests in flight — ``max_pending`` for the
-in-process data plane, ``per_worker_cap`` (``max_pending`` split
-evenly) for a pool worker.  Beyond that the daemon either rejects
-immediately with a ``busy`` error (``admission="reject"``, the default
-— shed load early, the NIDS stance) or queues the request up to
-``request_timeout`` seconds (``admission="wait"``, the batch stance).
-**Graceful drain**: shutdown stops accepting, lets in-flight requests
-finish (bounded by ``drain_timeout``), then closes connections and
-releases pools.
-
-**Pool mode** (``pool_workers > 0``): the daemon becomes a gateway in
-front of a fleet of scan worker *processes* — the paper's PPE/SPE
-split.  The gateway keeps the network, admission and compile roles;
-each worker attaches to the compiled dictionary through shared memory
-(compile once, map everywhere — workers do **zero** automaton builds,
-and STATS proves it per worker), owns the flow sessions that
-consistent-hashing places on it, and serves scans from its own
-process so the fleet scales across cores without sharing a GIL.
-Stateless ``SCAN`` stripes to the idlest worker; ``FLOW`` pins to the
-hash owner; ``RELOAD`` fans a generation swap out to every worker,
-which leases the new tables before the gateway retires the old
-segment; ``STATS`` merges per-worker histograms bucket-wise, and at
-shutdown every worker's final metrics fold into the gateway's.
+has fewer than the fleet's ``cap`` of requests in flight
+(``max_pending``, split evenly over pool workers).  Beyond that the
+daemon either rejects at once with a ``busy`` error
+(``admission="reject"``, the default — shed load early, the NIDS
+stance) or queues the request up to ``request_timeout`` seconds
+(``admission="wait"``, the batch stance).  **Graceful drain**:
+shutdown stops accepting, lets in-flight requests finish (bounded by
+``drain_timeout``), then closes connections and releases the fleet.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import struct
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.backends import get_backend
-from ..core.scan.bundle import bundle_from_compiled
-from ..policy.rules import RuleSet
-from ..policy.tenants import Tenant, TenantManager
+from ..core.compiled import (COUNTERS, ArtifactCache, CompiledDictionary,
+                             compile_dictionary)
+from ..policy.rules import CompiledRuleSet, RuleSet
+from ..policy.tenants import TenantError
 from .metrics import ServiceMetrics
 from .pool import WorkerCrashError, WorkerPool
 from .protocol import (MAX_FRAME_BYTES, RELOAD_STRATEGY, Frame,
                        ProtocolError, decode_patterns, encode_frame,
                        split_body)
-from .registry import DictionaryRegistry
-from .worker import DataPlane, error_reply
+from .worker import LocalFleet, error_reply
 
-__all__ = ["ServiceConfig", "ScanService", "ServiceThread"]
+__all__ = ["ControlPlane", "ServiceConfig", "ScanService",
+           "ServiceThread"]
 
 _LEN_PREFIX = struct.Struct(">I")
 
@@ -130,35 +120,220 @@ class ServiceConfig:
             raise ValueError("pool_workers must be >= 0")
 
 
-class _InProcessTarget:
-    """The in-process counterpart of a pool
-    :class:`~repro.service.pool.WorkerHandle`: the daemon's own
-    :class:`DataPlane` run on the scan thread pool, behind the same
-    ``call``/``depth``/``alive`` surface, so admission and the data
-    verbs never ask which mode they serve in."""
+def _summed(parts: List[Dict]) -> Dict:
+    """Key-wise sum of per-replica counters (nested dicts sum too)."""
+    total: Dict = {}
+    for part in parts:
+        for key, value in part.items():
+            total[key] = _summed([total.get(key, {}), value]) \
+                if isinstance(value, dict) else total.get(key, 0) + value
+    return total
 
-    alive = True
 
-    def __init__(self, data: DataPlane, executor: ThreadPoolExecutor
-                 ) -> None:
-        self._ops = {"scan": data.scan, "flow": data.flow,
-                     "close_flow": data.close_flow}
-        self._executor = executor
-        self.depth = 0
+@dataclass
+class _Scope:
+    """Control state of one dictionary scope."""
 
-    def call(self, kind: str, meta: Dict, payload=b"") -> "asyncio.Future":
-        self.depth += 1
-        fut = asyncio.get_running_loop().run_in_executor(
-            self._executor, self._ops[kind], meta, payload)
-        fut.add_done_callback(self._done)
-        return fut
+    compiled: CompiledDictionary
+    generation: int = 1
+    #: A tenant's ruleset bound to ``compiled`` (None: default scope).
+    policy: Optional[CompiledRuleSet] = None
+    policy_generation: int = 1
+    last_swap_seconds: float = 0.0
 
-    def _done(self, _fut) -> None:
-        self.depth -= 1
+
+class ControlPlane:
+    """The single source of truth for what every replica serves:
+    compiled artifacts, generations and bound rulesets — never a
+    :class:`~repro.service.registry.Generation`, session table or
+    verdict engine.  Each control op compiles and validates on the
+    control thread, fans out to the fleet under one lock, and commits
+    once every replica acked."""
+
+    def __init__(self, patterns: Sequence, *, fold=None,
+                 regex: bool = False, cache=None,
+                 max_states: int = 1 << 30,
+                 tenants: Optional[Dict[str, Dict]] = None) -> None:
+        self._cache = ArtifactCache() if cache is True else cache
+        self._max_states = max_states
+        self._scopes: Dict[str, _Scope] = {
+            "": _Scope(self._compile(patterns, regex, fold)[0])}
+        # Startup tenants compile and bind here, so a bad config fails
+        # the constructor; start() creates them on the fleet.
+        for name, spec in (tenants or {}).items():
+            self._scopes[name] = self._new_tenant(
+                name, spec["patterns"], _ruleset(spec),
+                bool(spec.get("regex")))
+        # The control thread; it starts lazily, on first submit, so a
+        # pool forks its workers before it exists.
+        self.executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-control")
+        self.fleet = None
+        self._lock: Optional[asyncio.Lock] = None
+
+    async def start(self, fleet) -> None:
+        """Bring ``fleet`` up on the current state, then serve control
+        ops through it."""
+        self.fleet = fleet
+        self._lock = asyncio.Lock()
+        default = self._scopes[""]
+        await fleet.start(default.compiled, default.generation)
+        for name, scope in self._scopes.items():
+            if name:
+                await fleet.apply(
+                    "tenant_create", scope=name, compiled=scope.compiled,
+                    generation=scope.generation, rules=scope.policy)
+
+    # -- state ---------------------------------------------------------------------
+
+    @property
+    def generation(self) -> int:
+        """The default dictionary's active generation."""
+        return self._scopes[""].generation
+
+    def tenant_names(self) -> List[str]:
+        return sorted(name for name in self._scopes if name)
+
+    def scope(self, tenant: Optional[str]) -> _Scope:
+        """``tenant``'s control state (``None`` = the default scope)."""
+        if tenant is None:
+            return self._scopes[""]
+        scope = self._scopes.get(tenant) if tenant else None
+        if scope is None:
+            raise TenantError(f"unknown tenant {tenant!r}")
+        return scope
+
+    # -- compile: constructor or control thread, never the loop ---------------------
+
+    def _compile(self, patterns: Sequence, regex: bool,
+                 fold=None) -> Tuple[CompiledDictionary, bool]:
+        """Compile through the artifact cache; also says if warm."""
+        builds_before = COUNTERS["automaton_builds"]
+        compiled = compile_dictionary(
+            patterns, fold=fold, regex=regex,
+            max_states=self._max_states, cache=self._cache)
+        return compiled, COUNTERS["automaton_builds"] == builds_before
+
+    def _new_tenant(self, name: str, patterns: Sequence, rules: RuleSet,
+                    regex: bool) -> _Scope:
+        if not name:
+            raise TenantError("tenant needs a name")
+        if name in self._scopes:
+            raise TenantError(f"tenant {name!r} already exists")
+        compiled = self._compile(patterns, regex)[0]
+        return _Scope(compiled, policy=rules.compile(compiled))
+
+    async def _off_loop(self, fn, *args):
+        return await asyncio.get_running_loop().run_in_executor(
+            self.executor, fn, *args)
+
+    # -- control ops ---------------------------------------------------------------
+
+    async def reload(self, tenant: Optional[str], patterns: Sequence,
+                     regex: bool) -> Dict:
+        """Compile, validate and install a scope's next generation."""
+        async with self._lock:
+            scope = self.scope(tenant)
+            t0 = time.perf_counter()
+
+            def _prepare():
+                compiled, warm = self._compile(patterns, regex,
+                                               scope.compiled.fold)
+                # A tenant's active policy must bind to the incoming
+                # dictionary, or the reload is refused before any
+                # replica sees it.
+                policy = None if scope.policy is None \
+                    else scope.policy.ruleset.compile(compiled)
+                return compiled, warm, policy
+
+            compiled, warm, policy = await self._off_loop(_prepare)
+            acks = await self.fleet.apply(
+                "install", scope=tenant or "", compiled=compiled,
+                generation=scope.generation + 1)
+            scope.compiled, scope.policy = compiled, policy
+            scope.generation += 1
+            seconds = scope.last_swap_seconds = time.perf_counter() - t0
+            return {"generation": scope.generation,
+                    "seconds": seconds,
+                    "warm": warm,
+                    "patterns": compiled.num_patterns,
+                    "slices": compiled.num_slices,
+                    "states": compiled.total_states,
+                    # Flow sessions live in the replicas.
+                    "flows_carried": sum(int(ack["flows_carried"])
+                                         for ack in acks)}
+
+    async def tenant_create(self, name: str, patterns: Sequence,
+                            rules: RuleSet, regex: bool) -> _Scope:
+        async with self._lock:
+            scope = await self._off_loop(self._new_tenant, name, patterns,
+                                         rules, regex)
+            await self.fleet.apply(
+                "tenant_create", scope=name, compiled=scope.compiled,
+                generation=scope.generation, rules=scope.policy)
+            self._scopes[name] = scope
+            return scope
+
+    async def tenant_delete(self, name: str) -> None:
+        async with self._lock:
+            self.scope(name)
+            # Unroutable first, so no new request reaches a replica
+            # that is dropping the tenant.
+            del self._scopes[name]
+            await self.fleet.apply("tenant_delete", scope=name)
+
+    async def policy_set(self, name: str, rules: RuleSet) -> int:
+        """Validate ``rules`` against the tenant's dictionary, install
+        them everywhere, return the new policy generation."""
+        async with self._lock:
+            scope = self.scope(name)
+            policy = await self._off_loop(rules.compile, scope.compiled)
+            await self.fleet.apply("policy_set", scope=name, rules=policy)
+            scope.policy = policy
+            scope.policy_generation += 1
+            return scope.policy_generation
+
+    async def stats(self) -> Tuple[Dict, List[Dict]]:
+        """The STATS ``registry`` and ``tenants`` sections plus the
+        replicas' raw acks: dictionary fields come from control state,
+        session and verdict counters are summed over the replicas."""
+        acks = await self.fleet.apply("stats")
+
+        def registry(name: str) -> Dict:
+            scope = self._scopes[name]
+            compiled = scope.compiled
+            sessions = _summed([ack["sessions"].get(name, {})
+                                for ack in acks])
+            return {"generation": scope.generation,
+                    "patterns": compiled.num_patterns,
+                    "slices": compiled.num_slices,
+                    "states": compiled.total_states,
+                    "fingerprint": compiled.fingerprint[:12],
+                    "regex": compiled.regex,
+                    "flows": sessions.get("flows", 0),
+                    "sessions": sessions,
+                    "swaps": scope.generation - 1,
+                    "last_swap_ms": scope.last_swap_seconds * 1e3}
+
+        tenants = {}
+        for name in self.tenant_names():
+            policy = self._scopes[name].policy
+            tenants[name] = {
+                "registry": registry(name),
+                "policy": {
+                    "generation": self._scopes[name].policy_generation,
+                    "rules": len(policy.rules),
+                    "mode": policy.mode,
+                    "actions": [r.action for r in policy.rules],
+                },
+                "verdicts": _summed([ack["verdicts"].get(name, {})
+                                     for ack in acks]),
+            }
+        return {"registry": registry(""), "tenants": tenants}, acks
 
 
 class ScanService:
-    """One daemon: a registry of dictionary generations behind a
+    """One daemon: a control plane and a fleet of replicas behind a
     length-prefixed TCP protocol.  Construct, :meth:`start` on an event
     loop (or wrap in :class:`ServiceThread`), connect with
     :class:`~repro.service.client.ServiceClient`."""
@@ -172,30 +347,14 @@ class ScanService:
         self.config.validate()
         if self.config.backend is not None:
             get_backend(self.config.backend)   # fail fast on typos
-        self.registry = DictionaryRegistry(
-            patterns, fold=fold, regex=regex, max_states=max_states,
-            cache=cache, max_flows=self.config.max_flows,
-            session_policy=self.config.session_policy)
-        # Tenant-scoped dictionaries + policies; the default registry
-        # above keeps serving tenant-less requests unchanged.
-        self.tenants = TenantManager(
-            cache=cache, max_flows=self.config.max_flows,
-            session_policy=self.config.session_policy,
-            max_states=max_states)
-        for name, spec in (tenants or {}).items():
-            rules = spec.get("rules")
-            if rules is not None and not isinstance(rules, RuleSet):
-                rules = RuleSet.from_specs(
-                    rules, mode=spec.get("mode", "first-match"))
-            self.tenants.create(
-                name, spec["patterns"], rules=rules,
-                regex=bool(spec.get("regex", False)))
+        self.control = ControlPlane(patterns, fold=fold, regex=regex,
+                                    cache=cache, max_states=max_states,
+                                    tenants=tenants)
         self.metrics = ServiceMetrics()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._scan_pool: Optional[ThreadPoolExecutor] = None
-        self._reload_pool: Optional[ThreadPoolExecutor] = None
+        self._fleet = None
         self._connections: set = set()
         self._pending = 0
         self._draining = False
@@ -203,13 +362,12 @@ class ScanService:
         # it re-checks its condition (admission slot or drain).
         self._slot_freed: Optional[asyncio.Event] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._pool: Optional[WorkerPool] = None
-        self._local: Optional[_InProcessTarget] = None
         self._verbs = {
             "PING": self._verb_ping,
             "SCAN": self._verb_scan,
-            "FLOW": self._verb_flow,
-            "CLOSE_FLOW": self._verb_close_flow,
+            "FLOW": functools.partial(self._flow_verb, kind="flow"),
+            "CLOSE_FLOW": functools.partial(self._flow_verb,
+                                            kind="close_flow"),
             "RELOAD": self._verb_reload,
             "TENANT": self._verb_tenant,
             "POLICY": self._verb_policy,
@@ -217,13 +375,14 @@ class ScanService:
             "SHUTDOWN": self._verb_shutdown,
         }
 
-    def _tenant_of(self, frame: Frame) -> Optional[Tenant]:
+    def _tenant_of(self, frame: Frame) -> Optional[str]:
         """Resolve the optional ``tenant`` header field (None = the
-        default, tenant-less registry)."""
+        default, tenant-less scope)."""
         name = frame.header.get("tenant")
         if name is None:
             return None
-        return self.tenants.get(str(name))
+        self.control.scope(str(name))         # unknown -> TenantError
+        return str(name)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -232,21 +391,10 @@ class ScanService:
         (``self.port`` then holds the real port, even for port 0)."""
         self._slot_freed = asyncio.Event()
         self._stopped = asyncio.Event()
-        if self.config.pool_workers > 0:
-            # Fork the fleet before anything else: a forked child must
-            # not inherit executor threads or the listening socket.
-            self._pool = WorkerPool(self)
-            await self._pool.start()
-        self._scan_pool = ThreadPoolExecutor(
-            max_workers=self.config.scan_threads,
-            thread_name_prefix="repro-scan")
-        if self._pool is None:
-            self._local = _InProcessTarget(
-                DataPlane(self.registry, self.tenants, self.metrics,
-                          self.config.max_events),
-                self._scan_pool)
-        self._reload_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-reload")
+        # The one place the serving mode is chosen.
+        fleet = WorkerPool if self.config.pool_workers > 0 else LocalFleet
+        self._fleet = fleet(self, self.control.executor)
+        await self.control.start(self._fleet)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
         sock = self._server.sockets[0].getsockname()
@@ -278,14 +426,9 @@ class ScanService:
             pass
         for writer in list(self._connections):
             writer.close()
-        if self._pool is not None:
-            await self._pool.stop()
-        self._scan_pool.shutdown(wait=True)
-        self._reload_pool.shutdown(wait=True)
-        self.registry.close()
-        self.tenants.close()
+        await self._fleet.stop()
+        self.control.executor.shutdown(wait=True)
         self._stopped.set()
-
     async def _wait_until(self, ready) -> None:
         while not ready():
             await self._slot_freed.wait()
@@ -383,8 +526,7 @@ class ScanService:
         if self._draining:
             return self._error(rid, "draining", "service is shutting "
                                "down")
-        cap = (self._pool.per_worker_cap if self._pool is not None
-               else self.config.max_pending)
+        cap = self._fleet.cap
         if target.depth >= cap:
             if self.config.admission == "reject":
                 self.metrics.record_rejected()
@@ -438,114 +580,52 @@ class ScanService:
         finally:
             self._release_slot()
 
-    def _flow_target(self, tenant: Optional[Tenant], flow_id):
-        """FLOW and CLOSE_FLOW pin to the consistent-hash owner of
-        ``(tenant, flow_id)`` so the session's DFA state never leaves
-        its worker."""
-        if self._pool is None:
-            return self._local
-        return self._pool.place(
-            tenant.name if tenant is not None else "", flow_id)
-
     # -- verbs ---------------------------------------------------------------------
 
     async def _verb_ping(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
         return ({"id": rid, "ok": True,
-                 "generation": self.registry.generation}, b"")
+                 "generation": self.control.generation}, b"")
 
     async def _verb_scan(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
-        tenant = self._tenant_of(frame)
-        meta: Dict[str, object] = {
+        meta = {
+            "tenant": self._tenant_of(frame),
             "backend": frame.header.get("backend") or self.config.backend,
             "workers": int(frame.header.get("workers")
                            or self.config.workers),
             "events": bool(frame.header.get("events"))}
-        if tenant is not None:
-            meta["tenant"] = tenant.name
-        # Stateless SCAN stripes to the idlest live worker.
-        target = self._local if self._pool is None \
-            else self._pool.least_loaded()
-        return await self._data_verb(rid, "scan", target, meta,
-                                     frame.payload)
-
-    async def _verb_flow(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
-        flow_id = frame.header.get("flow")
-        if flow_id is None:
-            return self._error(rid, "bad-request",
-                               "FLOW needs a 'flow' id")
-        tenant = self._tenant_of(frame)
-        meta: Dict[str, object] = {"flow": flow_id}
-        if tenant is not None:
-            meta["tenant"] = tenant.name
-        return await self._data_verb(rid, "flow",
-                                     self._flow_target(tenant, flow_id),
+        return await self._data_verb(rid, "scan", self._fleet.target(),
                                      meta, frame.payload)
 
-    async def _verb_close_flow(self, rid,
-                               frame: Frame) -> Tuple[Dict, bytes]:
+    async def _flow_verb(self, rid, frame: Frame,
+                         kind: str) -> Tuple[Dict, bytes]:
+        """FLOW and CLOSE_FLOW pin to the consistent-hash owner of
+        ``(tenant, flow_id)`` so the session's DFA state never leaves
+        its replica."""
         flow_id = frame.header.get("flow")
         if flow_id is None:
             return self._error(rid, "bad-request",
-                               "CLOSE_FLOW needs a 'flow' id")
+                               f"{frame.verb} needs a 'flow' id")
         tenant = self._tenant_of(frame)
-        meta: Dict[str, object] = {"flow": flow_id}
-        if tenant is not None:
-            meta["tenant"] = tenant.name
-        return await self._data_verb(rid, "close_flow",
-                                     self._flow_target(tenant, flow_id),
-                                     meta)
+        return await self._data_verb(
+            rid, kind, self._fleet.target(tenant or "", flow_id),
+            {"flow": flow_id, "tenant": tenant}, frame.payload)
 
     async def _verb_reload(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
-        patterns = decode_patterns(frame.payload)
-        regex = bool(frame.header.get("regex"))
         tenant = self._tenant_of(frame)
-        loop = asyncio.get_running_loop()
-        pooled = self._pool is not None
-
-        def _compile():
-            # Compile, promote and (in pool mode) export the new
-            # generation's shared segment inside one task on the
-            # single-threaded reload executor, so a concurrent RELOAD
-            # cannot promote a different generation between the
-            # compile and the export.
-            if tenant is not None:
-                result = tenant.load_dictionary(patterns, regex=regex)
-                active = tenant.registry.active.compiled
-            else:
-                result = self.registry.load(patterns, regex=regex)
-                active = self.registry.active.compiled
-            bundle = bundle_from_compiled(active) if pooled else None
-            return result, bundle
-
-        result, bundle = await loop.run_in_executor(self._reload_pool,
-                                                    _compile)
-        flows_carried = result.flows_carried
-        if pooled:
-            # Fan the swap out: every worker attaches + promotes
-            # before acking; the gateway retires the old segment only
-            # after the last ack.  Flow sessions live in the workers,
-            # so the carried-flow count is theirs.
-            flows_carried = await self._pool.swap(
-                tenant.name if tenant is not None else "",
-                bundle, result.generation)
-        self.metrics.record_reload(result.seconds, result.warm)
-        header = {"id": rid, "ok": True,
-                  "generation": result.generation,
-                  "seconds": result.seconds,
-                  "warm": result.warm,
-                  "patterns": result.patterns,
-                  "slices": result.slices,
-                  "states": result.states,
-                  "flows_carried": flows_carried}
+        result = await self.control.reload(
+            tenant, decode_patterns(frame.payload),
+            bool(frame.header.get("regex")))
+        self.metrics.record_reload(result["seconds"], result["warm"])
+        header = dict(result, id=rid, ok=True)
         if tenant is not None:
-            header["tenant"] = tenant.name
+            header["tenant"] = tenant
         return header, b""
 
     async def _verb_tenant(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
         op = str(frame.header.get("op", "list"))
         if op == "list":
             return ({"id": rid, "ok": True,
-                     "tenants": self.tenants.names()}, b"")
+                     "tenants": self.control.tenant_names()}, b"")
         name = frame.header.get("name")
         if not name:
             return self._error(rid, "bad-request",
@@ -553,44 +633,25 @@ class ScanService:
         name = str(name)
         if op == "create":
             patterns = decode_patterns(frame.payload)
-            rules = None
-            if frame.header.get("rules"):
-                rules = RuleSet.from_specs(
-                    frame.header["rules"],
-                    mode=str(frame.header.get("mode", "first-match")))
-            loop = asyncio.get_running_loop()
-            pooled = self._pool is not None
-
-            def _create():
-                tenant = self.tenants.create(
-                    name, patterns, rules=rules,
-                    regex=bool(frame.header.get("regex")))
-                bundle = bundle_from_compiled(
-                    tenant.registry.active.compiled) if pooled else None
-                return tenant, bundle
-
-            tenant, bundle = await loop.run_in_executor(
-                self._reload_pool, _create)
-            if pooled:
-                await self._pool.tenant_create(
-                    name, bundle, tenant.registry.generation,
-                    tenant.ruleset.to_specs(), tenant.ruleset.mode)
+            rules = _ruleset(frame.header)
+            scope = await self.control.tenant_create(
+                name, patterns, rules, bool(frame.header.get("regex")))
             return ({"id": rid, "ok": True, "tenant": name,
-                     "generation": tenant.registry.generation,
-                     "policy_generation": tenant.policy_generation,
-                     "rules": len(tenant.ruleset.rules),
+                     "generation": scope.generation,
+                     "policy_generation": scope.policy_generation,
+                     "rules": len(rules),
                      "patterns": len(patterns)}, b"")
         if op == "delete":
-            self.tenants.drop(name)
+            await self.control.tenant_delete(name)
             self.metrics.forget_tenant(name)
-            if self._pool is not None:
-                await self._pool.tenant_delete(name)
             return ({"id": rid, "ok": True, "tenant": name,
                      "deleted": True}, b"")
         if op == "info":
-            tenant = self.tenants.get(name)
+            info = (await self.control.stats())[0]["tenants"].get(name)
+            if info is None:
+                raise TenantError(f"unknown tenant {name!r}")
             return ({"id": rid, "ok": True, "tenant": name,
-                     "info": tenant.describe()}, b"")
+                     "info": info}, b"")
         return self._error(rid, "bad-request",
                            f"unknown TENANT op {op!r} (create/delete/"
                            f"list/info)")
@@ -600,38 +661,29 @@ class ScanService:
         if not name:
             return self._error(rid, "bad-request",
                                "POLICY needs a 'tenant'")
-        tenant = self.tenants.get(str(name))
+        name = str(name)
         op = str(frame.header.get("op", "get"))
         if op == "get":
-            return ({"id": rid, "ok": True, "tenant": tenant.name,
-                     "policy_generation": tenant.policy_generation,
-                     "mode": tenant.ruleset.mode,
-                     "rules": tenant.ruleset.to_specs()}, b"")
+            scope = self.control.scope(name)
+            return ({"id": rid, "ok": True, "tenant": name,
+                     "policy_generation": scope.policy_generation,
+                     "mode": scope.policy.mode,
+                     "rules": scope.policy.ruleset.to_specs()}, b"")
         if op == "set":
-            rules = RuleSet.from_specs(
-                frame.header.get("rules", []),
-                mode=str(frame.header.get("mode", "first-match")))
-            generation = tenant.set_rules(rules)
-            if self._pool is not None:
-                # The gateway validated the swap; replicate the
-                # canonical specs so every worker's verdict engine
-                # promotes the same policy generation.
-                await self._pool.broadcast(
-                    "policy_set", {"tenant": tenant.name,
-                                   "rules": rules.to_specs(),
-                                   "mode": rules.mode})
-            return ({"id": rid, "ok": True, "tenant": tenant.name,
+            rules = _ruleset(frame.header)
+            generation = await self.control.policy_set(name, rules)
+            return ({"id": rid, "ok": True, "tenant": name,
                      "policy_generation": generation,
                      "rules": len(rules)}, b"")
         return self._error(rid, "bad-request",
                            f"unknown POLICY op {op!r} (set/get)")
 
     async def _verb_stats(self, rid, frame: Frame) -> Tuple[Dict, bytes]:
+        sections, acks = await self.control.stats()
         header: Dict[str, object] = {
             "id": rid, "ok": True,
-            "generation": self.registry.generation,
-            "registry": self.registry.describe(),
-            "tenants": self.tenants.describe(),
+            "generation": self.control.generation,
+            **sections,
             "reload_strategy": RELOAD_STRATEGY,
             "config": {
                 "backend": self.config.backend or "auto",
@@ -641,25 +693,30 @@ class ScanService:
                 "max_flows": self.config.max_flows,
                 "session_policy": self.config.session_policy,
                 "pool_workers": self.config.pool_workers,
-            }}
-        if self._pool is not None:
-            # Pool-wide view: worker histograms merge bucket-wise with
-            # the gateway's own counters, so p50/p95/p99 are computed
-            # over the union of samples, not averaged per worker.
-            acks = await self._pool.broadcast("stats")
-            header["metrics"] = ServiceMetrics.merged_snapshot(
-                [self.metrics.state()]
-                + [ack["metrics"] for _, ack in acks])
-            header["pool"] = self._pool.describe(acks)
-        else:
-            header["metrics"] = self.metrics.snapshot()
+            },
+            # Replica histograms merge bucket-wise with the gateway's
+            # counters, so p50/p95/p99 are computed over the union of
+            # samples, not averaged per replica.
+            "metrics": ServiceMetrics.merged_snapshot(
+                [self.metrics.state()] + [ack["metrics"] for ack in acks]),
+            **self._fleet.describe(acks)}
         return header, b""
 
     async def _verb_shutdown(self, rid,
                              frame: Frame) -> Tuple[Dict, bytes]:
         return ({"id": rid, "ok": True, "draining": True,
-                 "generation": self.registry.generation,
+                 "generation": self.control.generation,
                  "_shutdown": True}, b"")
+
+
+def _ruleset(fields: Dict) -> RuleSet:
+    """The ``rules``/``mode`` fields of a tenant config, a TENANT
+    create or a POLICY set."""
+    rules = fields.get("rules")
+    if isinstance(rules, RuleSet):
+        return rules
+    return RuleSet.from_specs(rules or [],
+                              mode=str(fields.get("mode", "first-match")))
 
 
 class ServiceThread:

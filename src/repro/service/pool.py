@@ -1,11 +1,12 @@
-"""Gateway-side worker pool: fork, route, reload, restart.
+"""Gateway-side worker pool: fork, route, fan out, restart.
 
 The multi-process topology mirrors the paper's Cell layout: the
 gateway is the PPE — it owns the network, compiles every dictionary
 exactly once and orchestrates generation swaps — while each worker
 process is an SPE that *attaches* to the compiled tables through
 shared memory (:class:`~repro.core.scan.bundle.SharedArrayBundle`)
-and runs the scan loops against its private flow state.
+and runs the scan loops in the same
+:class:`~repro.service.worker.Replica` the in-process daemon runs.
 
 Three pieces live here:
 
@@ -21,12 +22,11 @@ Three pieces live here:
   an EOF fails every in-flight future with :class:`WorkerCrashError`
   (accounted by the daemon as rejects — never a silent drop) and
   triggers an automatic restart.
-* :class:`WorkerPool` — the fleet: spawn-before-serving (workers fork
-  before the gateway creates executors or binds its socket), bundle
-  ownership (the gateway's copy of each generation's segment is
-  unlinked only after every worker has attached the successor),
-  striping for stateless scans, per-worker admission depths and
-  crash/restart bookkeeping.
+* :class:`WorkerPool` — the fleet: spawn-before-serving, one fan-out
+  for every control op, bundle ownership (the gateway's copy of each
+  generation's segment is unlinked only after every worker has
+  attached the successor), striping for stateless scans, per-worker
+  admission depths and crash/restart bookkeeping.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import math
 import multiprocessing as mp
 import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from ..core.scan.bundle import SharedArrayBundle, bundle_from_compiled
@@ -116,11 +117,11 @@ class WorkerHandle:
                  on_down, on_slot) -> None:
         self.index = index
         self.loop = loop
-        self.generation = init["generation"]
+        #: The default scope's generation this worker started on
+        self.generation = init["scopes"][0]["generation"]
         self.alive = False
         self.stopping = False
         self.depth = 0
-        self.info: Dict[str, object] = {}
         self._on_down = on_down
         self._on_slot = on_slot
         self._seq = 0
@@ -173,7 +174,6 @@ class WorkerHandle:
             if not self.ready.done():
                 if ok:
                     self.alive = True
-                    self.info = dict(result)
                     self.ready.set_result(result)
                 else:
                     self.ready.set_exception(WorkerOpError(
@@ -197,6 +197,7 @@ class WorkerHandle:
     def _on_eof(self) -> None:
         was_alive = self.alive
         self.alive = False
+        self._send_q.put(None)          # retire the sender thread too
         if not self.ready.done():
             self.ready.set_exception(
                 WorkerCrashError(f"worker {self.index} died during "
@@ -236,7 +237,11 @@ class WorkerHandle:
         off the hot path during service shutdown)."""
         self.stopping = True
         self.alive = False
+        # A worker still starting up missed the pool's "stop" round,
+        # and its inherited copy of this pipe end hides our close.
+        self._send_q.put(("stop", -2, {}, b""))
         self._send_q.put(None)
+        self._sender.join(timeout)
         try:
             self._conn.close()
         except OSError:
@@ -245,18 +250,20 @@ class WorkerHandle:
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join(timeout)
+        self._receiver.join(timeout)    # its EOF lands while the loop runs
 
 
 class WorkerPool:
-    """The gateway's fleet of scan workers.
+    """The gateway's fleet of scan workers, one replica per process,
+    behind the same surface as :class:`~repro.service.worker.LocalFleet`.
 
-    Owns the shared-memory bundles (one per scope: ``""`` for the
-    default dictionary, tenant name otherwise), the placement ring and
-    the per-worker admission depths.  Every public coroutine runs on
-    the gateway's event loop.
+    Owns each scope's shared-memory bundle and pipe image (what a
+    restarted worker initializes from), the placement ring and the
+    per-worker admission depths.  Every public coroutine runs on the
+    gateway's event loop.
     """
 
-    def __init__(self, service) -> None:
+    def __init__(self, service, executor: ThreadPoolExecutor) -> None:
         cfg = service.config
         if "fork" not in mp.get_all_start_methods():
             raise PoolError(
@@ -267,15 +274,16 @@ class WorkerPool:
         if self.size < 1:
             raise PoolError("pool_workers must be >= 1 in pool mode")
         self._ctx = mp.get_context("fork")
+        self._executor = executor
         self.ring = ConsistentHashRing(self.size)
         self.handles: List[WorkerHandle] = []
-        #: scope -> (generation id, owned bundle)
-        self._bundles: Dict[str, Tuple[int, SharedArrayBundle]] = {}
+        #: scope -> owned bundle / recreating pipe meta (``""`` first)
+        self._bundles: Dict[str, SharedArrayBundle] = {}
+        self._images: Dict[str, Dict] = {}
         #: Backpressure is budgeted per worker: the service-wide
         #: max_pending splits evenly so one hot hash span cannot
         #: starve the rest of the fleet.
-        self.per_worker_cap = max(1, math.ceil(cfg.max_pending
-                                               / self.size))
+        self.cap = max(1, math.ceil(cfg.max_pending / self.size))
         self.restarts = 0
         self.crashed_requests = 0
         self._stopping = False
@@ -283,56 +291,31 @@ class WorkerPool:
 
     # -- lifecycle ------------------------------------------------------------------
 
-    async def start(self) -> None:
-        """Export bundles and fork the fleet.
+    async def start(self, compiled, generation: int) -> None:
+        """Export the default dictionary and fork the fleet; tenants
+        arrive afterwards through :meth:`apply`.
 
-        Must run before the gateway creates thread pools or binds its
-        socket: fork duplicates the calling thread only, and a child
-        must never inherit live executor threads or server FDs.
+        Must run before the gateway binds its socket or runs anything
+        on an executor: fork duplicates the calling thread only, and a
+        child must never inherit live executor threads or server FDs.
         """
         self._loop = asyncio.get_running_loop()
-        compiled = self.service.registry.active.compiled
-        self._bundles[""] = (self.service.registry.generation,
-                             bundle_from_compiled(compiled))
-        for name in self.service.tenants.names():
-            tenant = self.service.tenants.get(name)
-            self._bundles[name] = (
-                tenant.registry.generation,
-                bundle_from_compiled(tenant.registry.active.compiled))
+        bundle = bundle_from_compiled(compiled)
+        self._bundles[""] = bundle
+        self._images[""] = {"bundle_meta": bundle.meta(),
+                            "generation": generation}
         for index in range(self.size):
             self.handles.append(self._spawn(index))
         await asyncio.gather(*(h.ready for h in self.handles))
 
-    def _init(self) -> Dict:
+    def _spawn(self, index: int) -> WorkerHandle:
         # Workers fork, so ``init`` reaches them unpickled: the
         # gateway's own ServiceConfig is the worker's config.
-        gen, bundle = self._bundles[""]
-        init: Dict[str, object] = {
-            "bundle_meta": bundle.meta(),
-            "generation": gen,
-            "config": self.service.config,
-            "tenants": [],
-        }
-        for name, (tgen, tbundle) in self._bundles.items():
-            if not name:
-                continue
-            try:
-                tenant = self.service.tenants.get(name)
-            except Exception:
-                continue
-            init["tenants"].append({
-                "name": name,
-                "bundle_meta": tbundle.meta(),
-                "generation": tgen,
-                "rules": tenant.ruleset.to_specs(),
-                "mode": tenant.ruleset.mode,
-            })
-        return init
-
-    def _spawn(self, index: int) -> WorkerHandle:
-        return WorkerHandle(index, self._ctx, self._init(),
-                            self._loop, self._worker_down,
-                            self._notify_slot)
+        init = {"config": self.service.config,
+                "scopes": [dict(image, scope=scope)
+                           for scope, image in self._images.items()]}
+        return WorkerHandle(index, self._ctx, init, self._loop,
+                            self._worker_down, self._notify_slot)
 
     def _worker_down(self, handle: WorkerHandle, in_flight: int) -> None:
         """Crash callback (event loop): account the dropped requests
@@ -373,24 +356,19 @@ class WorkerPool:
                     self.service.metrics.absorb(fut.result()["metrics"])
         for handle in self.handles:
             handle.shutdown()
-        for _, bundle in self._bundles.values():
+        for bundle in self._bundles.values():
             bundle.close()
         self._bundles.clear()
 
     # -- placement ------------------------------------------------------------------
 
-    def _alive_mask(self) -> List[bool]:
-        return [h.alive for h in self.handles]
-
-    def place(self, tenant: Optional[str], flow_id: object
-              ) -> WorkerHandle:
-        """The worker owning this flow's hash span."""
-        index = self.ring.place(tenant or "", flow_id,
-                                self._alive_mask())
-        return self.handles[index]
-
-    def least_loaded(self) -> WorkerHandle:
-        """Stripe a stateless request to the idlest live worker."""
+    def target(self, tenant: str = "", flow_id: object = None
+               ) -> WorkerHandle:
+        """The worker owning a flow's hash span; a stateless request
+        (no ``flow_id``) stripes to the idlest live worker."""
+        if flow_id is not None:
+            return self.handles[self.ring.place(
+                tenant, flow_id, [h.alive for h in self.handles])]
         alive = [h for h in self.handles if h.alive]
         if not alive:
             raise WorkerCrashError("no alive workers in the pool")
@@ -403,105 +381,75 @@ class WorkerPool:
 
     # -- fleet ops ------------------------------------------------------------------
 
-    async def broadcast(self, kind: str, meta: Optional[Dict] = None,
-                        payload: bytes = b""
-                        ) -> List[Tuple[int, Dict]]:
-        """Fan one op out to every live worker; returns
-        ``(index, result)`` pairs for the workers that acked.  A worker
-        crashing mid-broadcast is skipped — its replacement is
-        re-initialized from the pool's current state, which already
-        includes whatever this broadcast is installing."""
-        calls = [(h.index, h.call(kind, meta, payload))
-                 for h in self.handles if h.alive]
-        acks: List[Tuple[int, Dict]] = []
-        for index, fut in calls:
-            try:
-                acks.append((index, await fut))
-            except WorkerCrashError:
-                continue
-        return acks
+    async def apply(self, op: str, compiled=None, rules=None,
+                    **meta) -> List[Dict]:
+        """Fan one replica control op out to every live worker; returns
+        the acks.  The gateway side of the pipe boundary: a compiled
+        dictionary goes out as a fresh bundle's meta, a ruleset as its
+        specs.
 
-    async def swap(self, scope: str, bundle: SharedArrayBundle,
-                   generation: int) -> int:
-        """Install a new dictionary generation fleet-wide.
-
-        Lease-before-retire across processes: the pool's scope entry is
-        flipped *first* (so a worker restarting mid-swap initializes on
-        the new generation), every worker attaches and promotes before
-        acking, and only after the last ack does the gateway close the
-        superseded segment.  Returns the total flows carried across the
-        swap, summed over workers.
+        Lease-before-retire across processes: the scope's image flips
+        *first* (a worker restarting mid-op initializes on the new
+        state, so one crashing mid-op is skipped), every worker
+        attaches and promotes before acking, and only after the last
+        ack does the gateway close the superseded segment.
         """
-        old = self._bundles.get(scope)
-        self._bundles[scope] = (generation, bundle)
-        meta: Dict[str, object] = {"bundle_meta": bundle.meta(),
-                                   "generation": generation}
-        if scope:
-            meta["tenant"] = scope
+        scope = meta.get("scope")
+        bundle = retired = None
+        if compiled is not None:
+            bundle = await self._loop.run_in_executor(
+                self._executor, bundle_from_compiled, compiled)
+            meta["bundle_meta"] = bundle.meta()
+        if rules is not None:                  # a bound ruleset
+            meta.update(rules=rules.ruleset.to_specs(), mode=rules.mode)
+        if op == "tenant_delete":
+            self._images.pop(scope, None)
+            retired = self._bundles.pop(scope, None)
+        elif scope is not None:
+            self._images.setdefault(scope, {}).update(
+                (k, v) for k, v in meta.items() if k != "scope")
+            if bundle is not None:
+                retired = self._bundles.get(scope)
+                self._bundles[scope] = bundle
+        calls = [h.call(op, meta) for h in self.handles if h.alive]
+        acks: List[Dict] = []
         try:
-            acks = await self.broadcast("reload", meta)
-        except WorkerOpError:
-            # A worker refused the generation (validation failure).
-            # The gateway-side compile already validated, so this is
-            # exceptional; keep the new bundle installed for restarts
-            # and surface the error.
-            raise
+            for fut in calls:
+                try:
+                    acks.append(await fut)
+                except WorkerCrashError:
+                    continue
         finally:
-            if old is not None:
-                old[1].close()
-        if not scope:
-            for handle in self.handles:
-                if handle.alive:
-                    handle.generation = generation
-        return sum(int(ack.get("flows_carried", 0))
-                   for _, ack in acks)
-
-    async def tenant_create(self, name: str,
-                            bundle: SharedArrayBundle,
-                            generation: int,
-                            rules: List[Dict], mode: str) -> None:
-        self._bundles[name] = (generation, bundle)
-        await self.broadcast("tenant_create", {
-            "name": name,
-            "bundle_meta": bundle.meta(),
-            "generation": generation,
-            "rules": rules,
-            "mode": mode,
-        })
-
-    async def tenant_delete(self, name: str) -> None:
-        await self.broadcast("tenant_delete", {"name": name})
-        entry = self._bundles.pop(name, None)
-        if entry is not None:
-            entry[1].close()
+            if retired is not None:
+                retired.close()
+        return acks
 
     # -- observability --------------------------------------------------------------
 
-    def describe(self, stats: Optional[List[Tuple[int, Dict]]] = None
-                 ) -> Dict[str, object]:
-        """The STATS ``pool`` section; ``stats`` are per-worker
-        ``stats`` op acks to fold in (flows, builds, generation)."""
-        by_index = dict(stats or ())
+    def describe(self, acks: List[Dict]) -> Dict[str, object]:
+        """The STATS ``pool`` section, folding in the workers' ``stats``
+        acks (flows, builds, generation)."""
+        by_pid = {ack["pid"]: ack for ack in acks}
         workers = []
         for handle in self.handles:
-            ack = by_index.get(handle.index, {})
+            ack = by_pid.get(handle.proc.pid, {})
             workers.append({
                 "index": handle.index,
                 "pid": handle.proc.pid,
                 "alive": handle.alive,
                 "depth": handle.depth,
-                "generation": ack.get("generation",
-                                      handle.generation),
-                "flows": ack.get("flows", 0),
-                "automaton_builds": ack.get(
-                    "automaton_builds",
-                    handle.info.get("automaton_builds", 0)),
+                # A worker that came up after the stats fan-out
+                # started on the current images.
+                "generation": ack.get("generation", handle.generation),
+                "flows": sum(int(s["flows"]) for s in
+                             ack.get("sessions", {}).values()),
+                "automaton_builds": ack.get("automaton_builds", 0),
             })
-        return {
+        return {"pool": {
             "size": self.size,
-            "per_worker_cap": self.per_worker_cap,
+            "per_worker_cap": self.cap,
             "restarts": self.restarts,
             "crashed_requests": self.crashed_requests,
             "flows": sum(int(w["flows"]) for w in workers),
             "workers": workers,
-        }
+        }}

@@ -13,8 +13,10 @@ scale, built on the same primitive
   tables) and its flow-session table;
 * :meth:`load` compiles the incoming dictionary (through
   :class:`~repro.core.compiled.ArtifactCache`, so re-deploying a known
-  rule set is a *warm swap* with zero automaton builds), stages it in
-  the standby slot, and **promotes atomically between requests**;
+  rule set is a *warm swap* with zero automaton builds), then
+  :meth:`load_compiled` stages it in the standby slot and **promotes
+  atomically between requests** (a service replica only ever gets
+  this second half: the control plane compiled for it);
 * scans :meth:`lease` the generation they start on and hold it until
   they finish — a promote never yanks tables out from under an
   in-flight scan, and the retired generation's pools are closed only
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from ..core.backends import ScanContext
@@ -161,46 +163,38 @@ class DictionaryRegistry:
         elif cache is not None and not isinstance(cache, ArtifactCache):
             cache = ArtifactCache(cache)
         self._cache = cache
-        self._fold = fold
         self._max_states = max_states
         self._max_flows = max_flows
         self._session_policy = session_policy
-        # Serializes reloads end to end (compile + stage + promote);
-        # scans never take it.  Reentrant because a retiring generation
-        # with zero leases drains inline within load(), and its drain
-        # hook re-enters to absorb leftover session totals.
+        # Serializes promotions; scans never take it.  Reentrant
+        # because a retiring generation with zero leases drains inline
+        # within load_compiled(), and its drain hook re-enters to
+        # absorb leftover session totals.
         self._reload_lock = threading.RLock()
         self._closed = False
         self.swap_count = 0
         self.last_swap_seconds = 0.0
 
-        if compiled is not None:
-            # Worker side of the process pool: the gateway compiled the
-            # dictionary once; this registry merely wraps the attached
-            # artifact (zero automaton builds here).
-            self._fold = compiled.fold
-            first = Generation(int(first_generation), compiled,
-                               self._max_flows, self._session_policy)
-        elif patterns is not None:
-            first = self._compile_generation(int(first_generation),
-                                             patterns, regex)
-        else:
-            raise RegistryError("need patterns or a compiled dictionary")
-        self._buffer: DoubleBuffer[Generation] = DoubleBuffer(first)
+        if compiled is None:
+            if patterns is None:
+                raise RegistryError(
+                    "need patterns or a compiled dictionary")
+            compiled = compile_dictionary(
+                patterns, fold=fold, regex=regex, max_states=max_states,
+                cache=self._cache)
+        # Every later generation must fold identically, or session
+        # state and counts would silently change meaning.
+        self._fold = compiled.fold
+        self._buffer: DoubleBuffer[Generation] = DoubleBuffer(Generation(
+            int(first_generation), compiled, max_flows, session_policy))
 
-    # -- compile -------------------------------------------------------------------
-
-    def _compile_generation(self, gen_id: int, patterns: Sequence,
-                            regex: bool) -> Generation:
-        compiled = compile_dictionary(
+    def compile(self, patterns: Sequence,
+                regex: bool = False) -> CompiledDictionary:
+        """Compile ``patterns`` the way this registry's generations
+        fold (through its artifact cache); promotes nothing."""
+        return compile_dictionary(
             patterns, fold=self._fold, regex=regex,
             max_states=self._max_states, cache=self._cache)
-        if self._fold is None:
-            # Every later generation must fold identically, or session
-            # state and counts would silently change meaning.
-            self._fold = compiled.fold
-        return Generation(gen_id, compiled, self._max_flows,
-                          self._session_policy)
 
     # -- serving side --------------------------------------------------------------
 
@@ -230,48 +224,35 @@ class DictionaryRegistry:
 
     # -- reload side ---------------------------------------------------------------
 
-    def load(self, patterns: Sequence, regex: bool = False,
-             validate: Optional[Callable[[CompiledDictionary], None]] = None,
+    def load(self, patterns: Sequence, regex: bool = False
              ) -> ReloadResult:
-        """Compile ``patterns`` and atomically promote them.
+        """Compile ``patterns`` and atomically promote them:
+        :meth:`compile` then :meth:`load_compiled`, reported as one
+        reload by :meth:`timed`."""
+        return self.timed(lambda: self.load_compiled(
+            self.compile(patterns, regex)))
 
-        Runs entirely off the scan path: the active generation serves
-        throughout the compile, the promotion itself is a pointer flip
-        inside the :class:`DoubleBuffer` lock, and in-flight scans keep
-        their leased generation until they finish.
-
-        ``validate``, if given, is called with the incoming
-        :class:`~repro.core.compiled.CompiledDictionary` *before* the
-        new generation is staged.  If it raises, the reload is refused:
-        the incoming generation's resources are released and the active
-        generation keeps serving, untouched.  This is the hook policy
-        layers use to keep cross-referencing state (rule bindings) from
-        drifting apart from the dictionary.
-        """
-        with self._reload_lock:
-            if self._closed:
-                raise RegistryError("registry is closed")
-            t0 = time.perf_counter()
-            builds_before = COUNTERS["automaton_builds"]
-            gen_id = self._buffer.active.gen_id + 1
-            incoming = self._compile_generation(gen_id, patterns, regex)
-            warm = COUNTERS["automaton_builds"] == builds_before
-            return self._promote(incoming, warm, t0, validate)
+    def timed(self, reload: Callable[[], ReloadResult]) -> ReloadResult:
+        """Run one compile + promote and report it as a single reload:
+        ``seconds`` spans both halves and ``warm`` means the compile
+        built no automaton (an artifact-cache hit)."""
+        t0 = time.perf_counter()
+        builds_before = COUNTERS["automaton_builds"]
+        result = reload()
+        self.last_swap_seconds = time.perf_counter() - t0
+        return replace(result, seconds=self.last_swap_seconds,
+                       warm=COUNTERS["automaton_builds"] == builds_before)
 
     def load_compiled(self, compiled: CompiledDictionary,
-                      generation: Optional[int] = None,
-                      validate: Optional[
-                          Callable[[CompiledDictionary], None]] = None,
-                      ) -> ReloadResult:
-        """Promote an externally compiled dictionary.
+                      generation: Optional[int] = None) -> ReloadResult:
+        """Atomically promote an already compiled dictionary.
 
-        The pool's worker side of a hot reload: the gateway compiled
-        (or artifact-loaded) the dictionary once and shipped it over
-        shared memory; this registry wraps it in a fresh
-        :class:`Generation` without any compile work.  ``generation``
-        pins the new generation id so workers track the gateway's
-        numbering; the same drain/carry semantics as :meth:`load`
-        apply.
+        Runs entirely off the scan path: the active generation serves
+        throughout, the promotion itself is a pointer flip inside the
+        :class:`DoubleBuffer` lock, and in-flight scans keep their
+        leased generation until they finish.  ``generation`` pins the
+        new generation id so replicas track the control plane's
+        numbering (default: the active id + 1).
         """
         with self._reload_lock:
             if self._closed:
@@ -279,48 +260,31 @@ class DictionaryRegistry:
             t0 = time.perf_counter()
             gen_id = self._buffer.active.gen_id + 1 \
                 if generation is None else int(generation)
-            if self._fold is None:
-                self._fold = compiled.fold
             incoming = Generation(gen_id, compiled, self._max_flows,
                                   self._session_policy)
-            return self._promote(incoming, True, t0, validate)
-
-    def _promote(self, incoming: Generation, warm: bool, t0: float,
-                 validate: Optional[
-                     Callable[[CompiledDictionary], None]]) -> ReloadResult:
-        """Shared promote tail: validate, stage, flip, carry, retire."""
-        if validate is not None:
-            try:
-                validate(incoming.compiled)
-            except BaseException:
-                # Never staged: zero leases, so retire releases the
-                # incoming pools inline and the old generation
-                # stays active.
-                incoming.retire()
-                raise
-        self._buffer.stage(incoming)
-        retired = self._buffer.promote()
-        # Carry sessions *after* the flip: new flow packets already
-        # route to the incoming generation, and carry_from merges
-        # with any that raced the promotion.  A lease taken before
-        # the flip may still scan into the retired tables after
-        # this carry — the drain hook moves that remainder over
-        # when the last lease releases, so no totals are lost.
-        flows = incoming.sessions.carry_from(retired.sessions)
-        retired.on_drained = (
-            lambda old=retired.sessions: self._absorb(old))
-        retired.retire()
-        seconds = time.perf_counter() - t0
-        self.swap_count += 1
-        self.last_swap_seconds = seconds
-        return ReloadResult(
-            generation=incoming.gen_id,
-            seconds=seconds,
-            warm=warm,
-            patterns=incoming.compiled.num_patterns,
-            slices=incoming.compiled.num_slices,
-            states=incoming.compiled.total_states,
-            flows_carried=flows)
+            self._buffer.stage(incoming)
+            retired = self._buffer.promote()
+            # Carry sessions *after* the flip: new flow packets already
+            # route to the incoming generation, and carry_from merges
+            # with any that raced the promotion.  A lease taken before
+            # the flip may still scan into the retired tables after
+            # this carry — the drain hook moves that remainder over
+            # when the last lease releases, so no totals are lost.
+            flows = incoming.sessions.carry_from(retired.sessions)
+            retired.on_drained = (
+                lambda old=retired.sessions: self._absorb(old))
+            retired.retire()
+            seconds = time.perf_counter() - t0
+            self.swap_count += 1
+            self.last_swap_seconds = seconds
+            return ReloadResult(
+                generation=gen_id,
+                seconds=seconds,
+                warm=True,
+                patterns=compiled.num_patterns,
+                slices=compiled.num_slices,
+                states=compiled.total_states,
+                flows_carried=flows)
 
     def _absorb(self, old_sessions: SessionScanner) -> None:
         """Drain-time carry: merge a fully retired generation's

@@ -1,32 +1,27 @@
-"""Worker side of the scan service: the data plane and the worker
-process that hosts it in pool mode.
+"""Replica side of the scan service.
 
-:class:`DataPlane` is the service's single implementation of the data
-verbs (``SCAN``, ``FLOW``, ``CLOSE_FLOW``) and :func:`error_reply` its
-single error taxonomy.  The daemon runs a ``DataPlane`` on its scan
-thread pool when it serves in-process (``pool_workers == 0``); in
-pool mode each worker process runs one over its own sessions and the
-gateway sends it the same ops over a pipe.  The two modes cannot
-drift apart because there is only one body per verb.
+:class:`DataPlane` is the single implementation of the data verbs
+(``SCAN``, ``FLOW``, ``CLOSE_FLOW``) and :func:`error_reply` the single
+error taxonomy.  :class:`Replica` adds the registry, tenants and
+metrics around one ``DataPlane``, and is the single implementation of
+the control ops the daemon's control plane fans out.  The daemon
+serves through :class:`LocalFleet` (one replica in-process) or
+:class:`~repro.service.pool.WorkerPool` (one replica per worker
+process, the paper's SPE).  There the gateway (PPE) compiles each
+dictionary once into a shared-memory ``SharedArrayBundle``; each
+worker *attaches*, rebuilding a
+:class:`~repro.core.compiled.CompiledDictionary` from the shared views
+with **zero** automaton builds (``COUNTERS["automaton_builds"]`` is
+reset at worker entry and reported in STATS, so the
+compile-once/map-everywhere contract is provable end to end).
+:class:`_PipeWorker` is the pipe boundary: the only place bundle meta
+and rule specs turn back into the objects a replica takes.
 
-The worker process is the paper's SPE: the gateway (PPE) compiles the
-dictionary once, places it in shared memory as a
-``SharedArrayBundle``, and each worker process *attaches* — it
-rebuilds a :class:`~repro.core.compiled.CompiledDictionary` from the
-shared views with **zero** automaton builds
-(``COUNTERS["automaton_builds"]`` is reset at worker entry and
-reported over the ready handshake and STATS, so the
-compile-once/map-everywhere contract is provable end to end).  Beside
-the data ops it serves the control ops that keep it in step with the
-gateway: reload, tenant create/delete, policy set, stats and ping.
-
-A worker is deliberately single-threaded: it owns a duplex pipe to the
-gateway and serves one message at a time, so a generation swap can
-never race a scan *within* a worker — the cross-worker ordering is the
-gateway's job (workers lease the new bundle before the gateway retires
-the old one).  Flow sessions and verdict state live here, placed by
-the gateway's consistent hash, which is what keeps a flow's DFA state
-core-local across its lifetime.
+A worker is single-threaded — it serves one message at a time, so a
+generation swap never races a scan *within* a worker; the cross-worker
+ordering is the gateway's job (control ops are serialized, and workers
+lease the new bundle before the gateway retires the old one).  Flow
+sessions live in the replica the gateway's consistent hash picked.
 
 Wire format (over ``multiprocessing.Pipe``): requests are
 ``(kind, seq, meta, payload)`` tuples, responses ``(seq, ok, result)``
@@ -37,10 +32,13 @@ handshake; the ``stop`` ack carries the worker's final metrics state.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import os
 import signal
 import time
-from typing import Dict, Optional
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, Optional
 
 from ..core.backends import BackendError, ScanRequest, execute
 from ..core.compiled import COUNTERS, CompileError
@@ -52,7 +50,8 @@ from .metrics import ServiceMetrics
 from .protocol import ProtocolError
 from .registry import DictionaryRegistry, RegistryError
 
-__all__ = ["DataPlane", "WorkerOpError", "error_reply", "worker_main"]
+__all__ = ["DataPlane", "LocalFleet", "Replica", "WorkerOpError",
+           "error_reply", "worker_main"]
 
 
 class WorkerOpError(Exception):
@@ -212,128 +211,171 @@ class DataPlane:
                     "matches": matches}
 
 
-class _PoolWorker:
-    """One worker process: attached dictionary generations, the
-    control ops that keep them in step with the gateway, and a
-    :class:`DataPlane` over the worker's own flow sessions, tenant
-    replicas and private metrics."""
+class Replica:
+    """One serving replica: a dictionary registry, its tenants, a
+    :class:`DataPlane` over their sessions and the metrics it records.
 
-    def __init__(self, conn, init: Dict) -> None:
-        self.conn = conn
-        cfg = init["config"]            # the gateway's ServiceConfig
-        # Attached segments, keyed by scope ("" = the default
-        # dictionary, else the tenant name).  Exactly one live bundle
-        # per scope; a reload swaps the attachment after the new
-        # generation is promoted.
-        self._bundles: Dict[str, SharedArrayBundle] = {}
-        bundle = SharedArrayBundle.attach(init["bundle_meta"])
-        self._bundles[""] = bundle
+    Each control op has one body, run by both serving modes on
+    already validated Python objects.  ``scope`` names a dictionary:
+    ``""`` is the default, anything else a tenant.
+    """
+
+    def __init__(self, config, compiled, generation: int) -> None:
         self.registry = DictionaryRegistry(
-            compiled=compiled_from_bundle(bundle),
-            first_generation=init["generation"],
-            max_flows=cfg.max_flows, session_policy=cfg.session_policy)
-        self.tenants = TenantManager(max_flows=cfg.max_flows,
-                                     session_policy=cfg.session_policy)
-        for spec in init["tenants"]:
-            self._attach_tenant(spec)
+            compiled=compiled, first_generation=generation,
+            max_flows=config.max_flows,
+            session_policy=config.session_policy)
+        self.tenants = TenantManager(max_flows=config.max_flows,
+                                     session_policy=config.session_policy)
         self.metrics = ServiceMetrics()
-        data = DataPlane(self.registry, self.tenants, self.metrics,
-                         cfg.max_events)
-        self._ops = {
-            "ping": self._op_ping,
-            "scan": data.scan,
-            "flow": data.flow,
-            "close_flow": data.close_flow,
-            "reload": self._op_reload,
-            "tenant_create": self._op_tenant_create,
-            "tenant_delete": self._op_tenant_delete,
-            "policy_set": self._op_policy_set,
-            "stats": self._op_stats,
-        }
+        self.data = DataPlane(self.registry, self.tenants, self.metrics,
+                              config.max_events)
 
-    def _attach_tenant(self, spec: Dict):
-        bundle = SharedArrayBundle.attach(spec["bundle_meta"])
-        rules = None
-        if spec.get("rules"):
-            rules = RuleSet.from_specs(
-                spec["rules"], mode=spec.get("mode", "first-match"))
-        tenant = self.tenants.create(
-            spec["name"], rules=rules,
-            compiled=compiled_from_bundle(bundle),
-            first_generation=int(spec.get("generation", 1)))
-        self._bundles[spec["name"]] = bundle
-        return tenant
-
-    # -- control ops ----------------------------------------------------------------
-
-    def _op_ping(self, meta: Dict, payload: bytes) -> Dict:
-        return {"generation": self.registry.generation,
-                "automaton_builds": COUNTERS["automaton_builds"],
-                "pid": os.getpid()}
-
-    def _op_reload(self, meta: Dict, payload: bytes) -> Dict:
-        """Generation swap: attach the new bundle (lease) *before* the
-        old attachment is dropped, preserving the drain semantics — a
-        single-threaded worker has no scan in flight here, so the
-        retired generation drains inline."""
-        bundle = SharedArrayBundle.attach(meta["bundle_meta"])
-        compiled = compiled_from_bundle(bundle)
-        scope = str(meta.get("tenant") or "")
-        generation = int(meta["generation"])
-        try:
-            if scope:
-                result = self.tenants.get(scope).load_compiled(
-                    compiled, generation=generation)
-            else:
-                result = self.registry.load_compiled(
-                    compiled, generation=generation)
-        except BaseException:
-            bundle.close()
-            raise
-        old = self._bundles.get(scope)
-        self._bundles[scope] = bundle
-        if old is not None:
-            old.close()
-        # The gateway records the end-to-end reload (compile + fan-out)
-        # in its own metrics; recording here too would double-count in
-        # the merged STATS view.
+    def install(self, scope: str, compiled, generation: int) -> Dict:
+        """Promote ``compiled`` as ``scope``'s generation
+        ``generation``; flow sessions carry across."""
+        target = self.tenants.get(scope) if scope else self.registry
+        result = target.load_compiled(compiled, generation=generation)
+        # The control plane records the end-to-end reload in its own
+        # metrics; recording here too would double-count in STATS.
         return {"generation": result.generation,
-                "flows_carried": result.flows_carried,
-                "warm": result.warm}
+                "flows_carried": result.flows_carried}
 
-    def _op_tenant_create(self, meta: Dict, payload: bytes) -> Dict:
-        tenant = self._attach_tenant(meta)
-        return {"generation": tenant.registry.generation,
-                "policy_generation": tenant.policy_generation}
+    def tenant_create(self, scope: str, compiled, generation: int,
+                      rules) -> Dict:
+        self.tenants.create(scope, rules=rules, compiled=compiled,
+                            first_generation=generation)
+        return {}
 
-    def _op_tenant_delete(self, meta: Dict, payload: bytes) -> Dict:
-        name = str(meta["name"])
-        self.tenants.drop(name)
-        self.metrics.forget_tenant(name)
-        bundle = self._bundles.pop(name, None)
-        if bundle is not None:
-            bundle.close()
-        return {"deleted": True}
+    def tenant_delete(self, scope: str) -> Dict:
+        self.tenants.drop(scope)
+        self.metrics.forget_tenant(scope)
+        return {}
 
-    def _op_policy_set(self, meta: Dict, payload: bytes) -> Dict:
-        tenant = self.tenants.get(str(meta["tenant"]))
-        rules = RuleSet.from_specs(
-            meta.get("rules", []),
-            mode=str(meta.get("mode", "first-match")))
-        return {"policy_generation": tenant.set_rules(rules)}
+    def policy_set(self, scope: str, rules) -> Dict:
+        return {"policy_generation":
+                self.tenants.get(scope).set_rules(rules)}
 
-    def _op_stats(self, meta: Dict, payload: bytes) -> Dict:
-        registry = self.registry.describe()
-        tenants = self.tenants.describe()
-        flows = int(registry["flows"]) + sum(
-            int(t["registry"]["flows"]) for t in tenants.values())
+    def stats(self) -> Dict:
+        """This replica's share of STATS: raw metrics, and per scope the
+        session and verdict counters the control plane sums."""
+        sessions = {"": self.registry.active.sessions.stats()}
+        verdicts = {}
+        for name in self.tenants.names():
+            tenant = self.tenants.get(name)
+            sessions[name] = tenant.registry.active.sessions.stats()
+            verdicts[name] = tenant.verdicts.describe()
         return {"metrics": self.metrics.state(),
-                "registry": registry,
-                "tenants": tenants,
-                "flows": flows,
+                "sessions": sessions,
+                "verdicts": verdicts,
                 "generation": self.registry.generation,
                 "automaton_builds": COUNTERS["automaton_builds"],
                 "pid": os.getpid()}
+
+    def close(self) -> None:
+        self.registry.close()
+        self.tenants.close()
+
+
+class LocalFleet:
+    """In-process serving: a fleet of one :class:`Replica`, behind the
+    same surface as :class:`~repro.service.pool.WorkerPool`.  It is its
+    own data target: data ops run on a scan thread pool (numpy releases
+    the GIL in the hot loops), control ops on the control thread."""
+
+    alive = True
+
+    def __init__(self, service, executor: ThreadPoolExecutor) -> None:
+        self._config = service.config
+        self._metrics = service.metrics
+        self._executor = executor
+        self._scan_pool = ThreadPoolExecutor(
+            max_workers=self._config.scan_threads,
+            thread_name_prefix="repro-scan")
+        self.cap = self._config.max_pending
+        self.depth = 0
+        self.replica: Optional[Replica] = None
+
+    async def start(self, compiled, generation: int) -> None:
+        self.replica = await asyncio.get_running_loop().run_in_executor(
+            self._executor, Replica, self._config, compiled, generation)
+
+    def target(self, tenant: str = "", flow_id=None) -> "LocalFleet":
+        return self
+
+    def call(self, kind: str, meta: Dict, payload=b"") -> "asyncio.Future":
+        self.depth += 1
+        fut = asyncio.get_running_loop().run_in_executor(
+            self._scan_pool, getattr(self.replica.data, kind), meta,
+            payload)
+        fut.add_done_callback(self._done)
+        return fut
+
+    def _done(self, _fut) -> None:
+        self.depth -= 1
+
+    async def apply(self, op: str, **kwargs) -> List[Dict]:
+        """Run one control op on the replica; returns its one ack."""
+        ack = await asyncio.get_running_loop().run_in_executor(
+            self._executor, functools.partial(
+                getattr(self.replica, op), **kwargs))
+        return [ack]
+
+    def describe(self, acks: List[Dict]) -> Dict:
+        return {}
+
+    async def stop(self) -> None:
+        """Release the replica, folding its final metrics in."""
+        self._scan_pool.shutdown(wait=True)
+        self._metrics.absorb(self.replica.metrics.state())
+        self.replica.close()
+
+
+class _PipeWorker:
+    """One pool worker process: a :class:`Replica` behind a duplex
+    pipe.  This is the pipe boundary — the only place bundle meta and
+    rule specs turn back into Python objects — and the owner of the
+    worker's shared-memory attachments, one per scope."""
+
+    def __init__(self, conn, init: Dict) -> None:
+        self.conn = conn
+        default, *tenants = init["scopes"]
+        bundle = SharedArrayBundle.attach(default["bundle_meta"])
+        self._bundles: Dict[str, SharedArrayBundle] = {"": bundle}
+        # Workers fork, so ``init`` arrives unpickled: the gateway's
+        # own ServiceConfig is the replica's config.
+        self.replica = Replica(init["config"], compiled_from_bundle(bundle),
+                               default["generation"])
+        for image in tenants:
+            self.control("tenant_create", image)
+
+    def control(self, kind: str, meta: Dict) -> Dict:
+        """Decode one control op and run it on the replica.  A scope's
+        new bundle is attached (leased) *before* its old one is
+        dropped; with no scan in flight in this single-threaded
+        worker, the retired generation drains inline."""
+        kwargs = dict(meta)
+        bundle = None
+        if "bundle_meta" in kwargs:
+            bundle = SharedArrayBundle.attach(kwargs.pop("bundle_meta"))
+            kwargs["compiled"] = compiled_from_bundle(bundle)
+        if "rules" in kwargs:
+            kwargs["rules"] = RuleSet.from_specs(kwargs.pop("rules"),
+                                                 mode=kwargs.pop("mode"))
+        try:
+            result = getattr(self.replica, kind)(**kwargs)
+        except BaseException:
+            if bundle is not None:
+                bundle.close()
+            raise
+        scope = kwargs.get("scope", "")
+        if bundle is not None or kind == "tenant_delete":
+            old = self._bundles.pop(scope, None)
+            if bundle is not None:
+                self._bundles[scope] = bundle
+            if old is not None:
+                old.close()
+        return result
 
     # -- serve loop -----------------------------------------------------------------
 
@@ -353,23 +395,28 @@ class _PoolWorker:
                 # The final metrics ride the ack: the gateway folds
                 # them into its own, so the post-shutdown snapshot
                 # still counts every request this worker served.
-                self._send(seq, True, {"stopped": True,
-                                       "metrics": self.metrics.state()})
+                self._send(seq, True, {
+                    "stopped": True,
+                    "metrics": self.replica.metrics.state()})
                 break
-            handler = self._ops.get(kind)
-            if handler is None:
-                self._send(seq, False, {"code": "bad-verb",
-                                        "error": f"unknown op {kind!r}"})
-                continue
             try:
-                self._send(seq, True, handler(meta or {}, payload))
+                if kind in ("scan", "flow", "close_flow"):
+                    result = getattr(self.replica.data, kind)(meta, payload)
+                elif kind in ("install", "tenant_create", "tenant_delete",
+                              "policy_set", "stats"):
+                    result = self.control(kind, meta)
+                else:
+                    self._send(seq, False, {
+                        "code": "bad-verb",
+                        "error": f"unknown op {kind!r}"})
+                    continue
+                self._send(seq, True, result)
             except Exception as exc:
                 self._send(seq, False, error_reply(exc))
         self.close()
 
     def close(self) -> None:
-        self.registry.close()
-        self.tenants.close()
+        self.replica.close()
         for bundle in self._bundles.values():
             bundle.close()
         self._bundles.clear()
@@ -390,7 +437,7 @@ def worker_main(conn, init: Dict) -> None:
     # disprove the compile-once/attach-everywhere contract.
     COUNTERS["automaton_builds"] = 0
     try:
-        worker = _PoolWorker(conn, init)
+        worker = _PipeWorker(conn, init)
     except BaseException as exc:
         try:
             conn.send((-1, False, {"code": "worker-init",
@@ -399,9 +446,5 @@ def worker_main(conn, init: Dict) -> None:
         except (OSError, ValueError, BrokenPipeError):
             pass
         return
-    conn.send((-1, True, {
-        "pid": os.getpid(),
-        "generation": worker.registry.generation,
-        "automaton_builds": COUNTERS["automaton_builds"],
-    }))
+    conn.send((-1, True, {"pid": os.getpid()}))
     worker.run()
