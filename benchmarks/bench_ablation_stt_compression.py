@@ -10,11 +10,11 @@ tile capacity each representation buys.
 Two compressed representations are measured.  :class:`CompressedSTT` is
 the faithful D2FA-style chain ablation (input-dependent hops — the
 paper's reason to refuse it).  :class:`ColdRowStore` inside the
-hot/cold fused table is the variant that actually *ships*: cold rows
-compress against one shared default with a bounded one-probe slow path,
-so the budget sweep below measures the production encoder's
-footprint/hit-rate trade-off, with counts asserted identical to the
-dense reference at every budget.
+hot/cold table is the encoder that *ships* with the union kernel's
+base table: cold rows compress against one shared default.  The budget
+sweep below measures that table's footprint next to the hit rate of
+the union kernel (``hotcold2``) built on it at the same budget, with
+counts asserted identical to the dense reference at every budget.
 """
 
 import numpy as np
@@ -106,8 +106,10 @@ def test_dense_per_byte_cost_is_flat_by_construction(cases):
 # -- the shipping encoder: ColdRowStore inside the hot/cold table ---------
 
 #: Hot-partition budgets for the sweep — from starved (almost every
-#: state cold) through the production default's neighborhood.
-BUDGETS = (8 * 1024, 32 * 1024, 256 * 1024)
+#: state cold) through the production default's neighborhood, up to
+#: one that holds the whole pair table of the 800-state dictionary
+#: (802 rows × 32² symbols × 2 bytes).
+BUDGETS = (8 * 1024, 32 * 1024, 256 * 1024, 2048 * 1024)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +137,7 @@ def test_cold_row_budget_sweep_report(shipping, report):
     for states, compiled, arr, dense_total in shipping:
         for budget in BUDGETS:
             table = compiled.hot_cold_table(budget_bytes=budget)
-            scanner = table.scanner()
+            scanner = compiled.hot_cold2_scanner(budget_bytes=budget)
             total = int(count_arr(scanner, arr, 256, scanner.start,
                                   weights=scanner.weights,
                                   lanes_target=HOTCOLD_LANES_TARGET)[0])
@@ -150,11 +152,12 @@ def test_cold_row_budget_sweep_report(shipping, report):
                 round(table.table_bytes / 1024, 1),
                 round(table.table_bytes / compiled.fused_table_bytes, 3),
                 table.cold.stored_transitions,
+                f"{scanner.num_hot2}/{table.num_states}",
                 round(scanner.hot_hit_rate, 4),
             ])
     text = ascii_table(
         ["states", "budget", "hot set", "dense KB", "hc KB", "ratio",
-         "cold edges", "hot hit"],
+         "cold edges", "hot2 set", "hot2 hit"],
         rows, title="Shipping encoder - hot/cold split + ColdRowStore "
                     "default-transition cold rows (counts == dense)")
     report("ablation_cold_rows", text)
@@ -162,12 +165,11 @@ def test_cold_row_budget_sweep_report(shipping, report):
 
 def test_cold_row_hit_rate_grows_with_budget(shipping):
     """Hottest-first renumbering means a bigger hot budget can only add
-    states to the resident set — the observed hit rate must follow."""
+    states to the pair-hot set — the observed hit rate must follow."""
     for states, compiled, arr, _ in shipping:
         hits = []
         for budget in BUDGETS:
-            table = compiled.hot_cold_table(budget_bytes=budget)
-            scanner = table.scanner()
+            scanner = compiled.hot_cold2_scanner(budget_bytes=budget)
             count_arr(scanner, arr, 256, scanner.start,
                       weights=scanner.weights,
                       lanes_target=HOTCOLD_LANES_TARGET)

@@ -4,15 +4,14 @@ The dictionary is held at a fixed total size while ``max_states``
 partitions it into D ∈ {1, 2, 4, 8} slices; the per-DFA baseline scans
 the block once per slice (D passes, D × input traffic) and the fused
 path advances all D slices in a single strip-mined pass over a
-D × chunks lane grid.  The hot/cold union path then scans the same
-block through the cache-resident table (one gather per byte at any D —
-the production whole-dictionary counting path), and the two-byte-stride
-``hotcold2`` path scans it again through the pair-symbol hot table (one
-gather per *two* bytes).  Counts are asserted bit-identical, throughput
-plus cache-footprint columns (table bytes, hot-set size, hot-hit rate)
-land in ``BENCH_fused.json``, and the acceptance bars are the D=4
-fused speedup, the hot/cold no-per-D-collapse floor and the D=4
-hotcold2-over-hotcold speedup.
+D × chunks lane grid.  The union kernel ``hotcold2`` then scans the
+same block through its pair-symbol hot table (one gather per *two*
+bytes at any D — the production whole-dictionary counting path).
+Counts are asserted bit-identical, throughput plus cache-footprint
+columns (table bytes, pair-hot set size, hot-hit rate) land in
+``BENCH_fused.json``, and the acceptance bars are the D=4 fused
+speedup, the union kernel's no-per-D-collapse floor and its D=4
+speedup over the fused grid.
 
 Environment knobs:
 
@@ -20,11 +19,11 @@ Environment knobs:
 * ``REPRO_BENCH_BLOCK_MB``      — block size in MB (default 8).
 * ``REPRO_BENCH_FUSED_MIN``     — D=4 speedup floor (default 1.5,
   waived in smoke mode where timing noise dominates).
-* ``REPRO_BENCH_HOTCOLD_FLOOR`` — hot/cold MB/s at every D must stay
-  above this fraction of its D=1 value (default 0.7 — "flat or
+* ``REPRO_BENCH_HOTCOLD_FLOOR`` — ``hotcold2`` MB/s at every D must
+  stay above this fraction of its D=1 value (default 0.7 — "flat or
   rising", with timing-noise headroom; waived in smoke mode).
-* ``REPRO_BENCH_HOTCOLD2_MIN`` — two-byte-stride speedup over the
-  one-byte hot/cold scan at D=4 (default 1.4; waived in smoke mode).
+* ``REPRO_BENCH_HOTCOLD2_MIN`` — ``hotcold2`` speedup over the fused
+  grid at D=4 (default 1.4; waived in smoke mode).
 * ``REPRO_BENCH_PREFILTER_MIN`` — packed-prefilter pipeline speedup
   over the bare hotcold2 scan on the low-match-density corpus
   (default 2.0; waived in smoke mode).
@@ -122,7 +121,6 @@ def test_fused_vs_per_dfa_sweep(report, report_json):
                   f"{target} slices — row dropped")
             continue
         fused = compiled.fused_scanner()
-        hot_cold = compiled.hot_cold_scanner()
         hot_cold2 = compiled.hot_cold2_scanner()
         scanners = compiled.scanners()
 
@@ -133,42 +131,29 @@ def test_fused_vs_per_dfa_sweep(report, report_json):
         def fused_pass():
             return fused.count_arr_per_dfa(arr, CHUNKS)[0]
 
-        def hotcold_pass():
-            # The production whole-dictionary counting path: one union
-            # accumulator, one gather per byte at any D.
-            return count_arr(hot_cold, arr, CHUNKS, hot_cold.start,
-                             weights=hot_cold.weights,
-                             lanes_target=HOTCOLD_LANES_TARGET)[0]
-
         def hotcold2_pass():
-            # Same union accumulator, two input bytes per gather over
-            # the pair-symbol hot table.
+            # The production whole-dictionary counting path: one union
+            # accumulator, two input bytes per gather over the
+            # pair-symbol hot table at any D.
             return count_arr(hot_cold2, arr, CHUNKS, hot_cold2.start,
                              weights=hot_cold2.weights,
                              lanes_target=HOTCOLD_LANES_TARGET)[0]
 
-        per_dfa_pass()                       # warm all four paths
+        per_dfa_pass()                       # warm all three paths
         fused_pass()
-        hotcold_pass()
         hotcold2_pass()
         serial_s, serial_counts = _best(per_dfa_pass)
         fused_s, fused_counts = _best(fused_pass)
-        hot_cold.reset_stats()
-        hotcold_s, hotcold_total = _best(hotcold_pass)
         hot_cold2.reset_stats()
         hotcold2_s, hotcold2_total = _best(hotcold2_pass)
         assert np.array_equal(fused_counts, serial_counts), \
             f"fused diverged at D={target}"
         weighted_ref = fused.count_arr_per_dfa(arr, CHUNKS,
                                                weights=fused.weights)[0]
-        assert int(hotcold_total) == int(weighted_ref.sum()), \
-            f"hot/cold diverged at D={target}: {hotcold_total} != " \
-            f"{int(weighted_ref.sum())}"
         assert int(hotcold2_total) == int(weighted_ref.sum()), \
             f"two-byte stride diverged at D={target}: " \
             f"{hotcold2_total} != {int(weighted_ref.sum())}"
 
-        table = compiled.hot_cold_table()
         table2 = compiled.hot_cold2_table()
         speedup = serial_s / fused_s if fused_s else float("inf")
         results[target] = {
@@ -177,21 +162,17 @@ def test_fused_vs_per_dfa_sweep(report, report_json):
             "matches": int(fused_counts.sum()),
             "per_dfa_seconds": round(serial_s, 5),
             "fused_seconds": round(fused_s, 5),
-            "hotcold_seconds": round(hotcold_s, 5),
             "per_dfa_mb_per_s": round(nbytes / serial_s / 1e6, 2),
             "fused_mb_per_s": round(nbytes / fused_s / 1e6, 2),
-            "hotcold_mb_per_s": round(nbytes / hotcold_s / 1e6, 2),
             "hotcold2_seconds": round(hotcold2_s, 5),
             "hotcold2_mb_per_s": round(nbytes / hotcold2_s / 1e6, 2),
-            "hotcold2_speedup": round(hotcold_s / hotcold2_s
-                                      if hotcold2_s else float("inf"),
-                                      3),
+            "hotcold2_vs_fused": round(fused_s / hotcold2_s
+                                       if hotcold2_s else float("inf"),
+                                       3),
             "speedup": round(speedup, 3),
-            "union_states": table.num_states,
-            "hot_states": table.num_hot,
-            "table_bytes": table.table_bytes,
+            "union_states": table2.num_states,
+            "table_bytes": table2.table_bytes,
             "fused_table_bytes": compiled.fused_table_bytes,
-            "hot_hit_rate": round(hot_cold.hot_hit_rate, 6),
             "hot2_states": table2.num_hot2,
             "hot2_bytes": table2.hot2_bytes,
             "hot2_hit_rate": round(hot_cold2.hot_hit_rate, 6),
@@ -199,20 +180,18 @@ def test_fused_vs_per_dfa_sweep(report, report_json):
         rows.append([target, compiled.total_states,
                      f"{nbytes / serial_s / 1e6:.0f}",
                      f"{nbytes / fused_s / 1e6:.0f}",
-                     f"{nbytes / hotcold_s / 1e6:.0f}",
                      f"{nbytes / hotcold2_s / 1e6:.0f}",
-                     f"{table.table_bytes // 1024}K",
+                     f"{table2.table_bytes // 1024}K",
                      f"{table2.hot2_bytes // 1024}K",
-                     f"{table.num_hot}/{table.num_states}",
-                     f"{hot_cold.hot_hit_rate:.4f}",
+                     f"{table2.num_hot2}/{table2.num_states}",
                      f"{hot_cold2.hot_hit_rate:.4f}",
                      f"{speedup:.2f}x",
-                     f"{hotcold_s / hotcold2_s:.2f}x"])
+                     f"{fused_s / hotcold2_s:.2f}x"])
 
     text = ascii_table(
         ["slices", "states", "per-DFA MB/s", "fused MB/s",
-         "hot/cold MB/s", "2B MB/s", "hc table", "hot2", "hot set",
-         "hot hit", "hot2 hit", "speedup", "2B speedup"],
+         "2B MB/s", "2B table", "hot2", "hot2 set", "hot2 hit",
+         "speedup", "2B vs fused"],
         rows,
         title=f"Lane-dimension fusion, {BLOCK_MB:.0f} MB block, "
               f"{len(PATTERNS)} patterns, chunks={CHUNKS}")
@@ -233,23 +212,23 @@ def test_fused_vs_per_dfa_sweep(report, report_json):
         assert results[4]["speedup"] >= MIN_SPEEDUP, \
             f"fused {results[4]['speedup']}x at D=4, " \
             f"needs >= {MIN_SPEEDUP}x"
-    # The hot/cold union scan must not collapse with the partition
-    # count — its table is one union automaton whatever D is, so the
-    # D-sweep curve must stay flat (floor = fraction of the D=1 rate,
-    # absorbing timing noise).
+    # The union kernel must not collapse with the partition count —
+    # its table is one union automaton whatever D is, so the D-sweep
+    # curve must stay flat (floor = fraction of the D=1 rate, absorbing
+    # timing noise).
     if HOTCOLD_FLOOR > 0 and 1 in results:
-        base = results[1]["hotcold_mb_per_s"]
+        base = results[1]["hotcold2_mb_per_s"]
         for target, row in results.items():
-            assert row["hotcold_mb_per_s"] >= HOTCOLD_FLOOR * base, \
-                f"hot/cold collapsed at D={target}: " \
-                f"{row['hotcold_mb_per_s']} MB/s vs {base} at D=1"
-    # The pair-symbol table must actually pay for its squared alphabet:
-    # two bytes per gather has to show up as wall-clock speedup over
-    # the one-byte union scan on the production D=4 shape.
+            assert row["hotcold2_mb_per_s"] >= HOTCOLD_FLOOR * base, \
+                f"hotcold2 collapsed at D={target}: " \
+                f"{row['hotcold2_mb_per_s']} MB/s vs {base} at D=1"
+    # The union kernel must earn its place next to the fused grid: one
+    # pair gather for every slice has to beat D gathers per byte on the
+    # production D=4 shape.
     if HOTCOLD2_MIN > 0:
-        assert results[4]["hotcold2_speedup"] >= HOTCOLD2_MIN, \
-            f"two-byte stride {results[4]['hotcold2_speedup']}x over " \
-            f"hot/cold at D=4, needs >= {HOTCOLD2_MIN}x"
+        assert results[4]["hotcold2_vs_fused"] >= HOTCOLD2_MIN, \
+            f"hotcold2 {results[4]['hotcold2_vs_fused']}x over " \
+            f"fused at D=4, needs >= {HOTCOLD2_MIN}x"
 
 
 def _compile_pf(target: int):

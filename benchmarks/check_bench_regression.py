@@ -6,7 +6,7 @@ step) and then calls this script, which fails the build when
 
 * the headline backend's throughput drops more than ``--tolerance``
   below the committed ``benchmarks/baselines/BENCH_backends.json``, or
-* any per-D ``fused_mb_per_s`` / ``hotcold_mb_per_s`` row drops more
+* any per-D ``fused_mb_per_s`` / ``hotcold2_mb_per_s`` row drops more
   than ``--tolerance`` below the committed
   ``benchmarks/baselines/BENCH_fused.json`` (so a change that only
   collapses one partition count cannot hide behind the headline), or
@@ -135,8 +135,7 @@ def compare(baseline, fresh, backend=None, tolerance=0.30, out=sys.stdout):
 
 
 #: BENCH_fused.json per-slice throughput keys gated per D.
-FUSED_GATED_KEYS = ("fused_mb_per_s", "hotcold_mb_per_s",
-                    "hotcold2_mb_per_s")
+FUSED_GATED_KEYS = ("fused_mb_per_s", "hotcold2_mb_per_s")
 
 #: BENCH_fused.json prefilter throughput keys gated per match density.
 PREFILTER_GATED_KEYS = ("bare_mb_per_s", "screened_mb_per_s")

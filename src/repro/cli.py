@@ -37,6 +37,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core.backends import backend_names
+
+    backends = ["auto", *backend_names()]
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DFA-based string matching on the (simulated) Cell "
@@ -56,9 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--events", action="store_true",
                       help="list individual match events")
     scan.add_argument("--backend", default="auto",
-                      choices=["auto", "serial", "chunked", "fused",
-                               "hotcold", "hotcold2", "pooled",
-                               "streaming", "cellsim"],
+                      choices=backends,
                       help="scan backend, the one way to force a "
                            "kernel (default: auto — the execution "
                            "planner chooses)")
@@ -107,9 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--regex", action="store_true",
                        help="treat patterns as regular expressions")
     serve.add_argument("--backend", default="auto",
-                       choices=["auto", "serial", "chunked", "fused",
-                                "hotcold", "hotcold2", "pooled",
-                                "streaming", "cellsim"],
+                       choices=backends,
                        help="default SCAN backend (default: auto)")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes for parallel backends")
@@ -160,9 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--patterns-file",
                       help="file with one pattern per line")
     load.add_argument("--backend", default="auto",
-                      choices=["auto", "serial", "chunked", "fused",
-                               "hotcold", "hotcold2", "pooled",
-                               "streaming", "cellsim"],
+                      choices=backends,
                       help="daemon SCAN backend (in-process daemon only)")
     load.add_argument("--workers", type=int, default=1)
     load.add_argument("--pool-workers", type=int, default=0,

@@ -18,8 +18,7 @@ name       strategy                                                 paper
 serial     reference event walk over every slice DFA                §3
 chunked    in-process speculative fixpoint over the flat table      §4
 fused      stacked multi-slice STT, one pass for every slice        §6
-hotcold    cache-resident hot/cold union table, one gather per byte §4
-hotcold2   pair-symbol hot table, one gather per two input bytes      §4
+hotcold2   union table, pair-symbol hot rows, two bytes per gather  §4
 pooled     sharded process pool over the shared batch kernel        §6a
 streaming  double-buffered staging ring, bounded-memory streams     Fig. 5
 cellsim    exact counts + cycle-accounted Cell model (Table 1 v4)   §4/T1
@@ -45,7 +44,7 @@ import numpy as np
 
 from ..dfa.automaton import MatchEvent
 from .compiled import CompiledDictionary
-from .planner import plan_backend
+from .planner import batch_kernel, plan_backend
 
 __all__ = [
     "ScanOutcome",
@@ -153,7 +152,7 @@ class ScanContext:
         """The named :class:`~repro.core.scan.kernels.ScanKernel` over
         this dictionary, built once and cached.  Raises
         :class:`BackendError` when the dictionary cannot serve it
-        (union kernels over a regex dictionary)."""
+        (the union kernel over a regex dictionary)."""
         from .scan.kernels import get_kernel
 
         kern = self._kernels.get(name)
@@ -171,20 +170,11 @@ class ScanContext:
         """The whole-dictionary kernel of the ``pooled`` and
         ``streaming`` backends, which also verifies the prefilter's
         candidate windows when the planned backend has no verify
-        kernel of its own (``pooled``).  It is
-        the hot/cold union scan when the dictionary supports it and
-        the planner's footprint rule favours it (partitioned
-        dictionary, or plain fused table over the cache budget) — at
-        pair stride when the full-coverage pair table fits — else the
-        stacked fused grid."""
-        from .planner import CACHE_BUDGET_BYTES
-
+        kernel of its own (``pooled``): the planner's
+        :func:`~repro.core.planner.batch_kernel` rule."""
         c = self.compiled
-        if c.supports_hot_cold and (
-                c.num_slices > 1
-                or c.fused_table_bytes > CACHE_BUDGET_BYTES):
-            return "hotcold2" if c.pair_table_fits() else "hotcold"
-        return "fused"
+        return batch_kernel(c.supports_hot_cold, c.num_slices,
+                            c.fused_table_bytes)
 
     def sharded(self, workers: int):
         """Cached :class:`~repro.parallel.ShardedScanner` for a worker
@@ -362,45 +352,6 @@ class FusedBackend(ScanBackend):
 
 
 @register_backend
-class HotColdBackend(ScanBackend):
-    """Cache-resident hot/cold union scan: one union automaton covers
-    every slice, its hottest states packed into one compact table sized
-    to stay cache-resident (the paper's §4 local-store residency on the
-    host), cold rows compressed behind an explicit slow-path escape —
-    one gather per input byte however the dictionary was partitioned,
-    with a footprint that no longer grows with the partition count."""
-
-    name = "hotcold"
-    kinds = ("block",)
-    paper_section = "§4 (local-store residency via hot/cold split)"
-    description = "cache-resident union table with hot/cold state split"
-
-    #: Speculation granularity floor, widened to
-    #: scan.base.HOTCOLD_LANES_TARGET on large inputs.
-    chunks = 256
-
-    def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
-        self._require_kind(request)
-        arr = np.frombuffer(request.data, dtype=np.uint8)
-        kern = ctx.kernel("hotcold")
-        kern.reset_stats()
-        total = kern.count_total(arr, self.chunks)
-        t = kern.table
-        kstats = kern.stats()
-        return ScanOutcome(
-            total_matches=total,
-            bytes_scanned=arr.size,
-            backend=self.name,
-            stats={"slices": ctx.compiled.num_slices,
-                   "chunks": self.chunks,
-                   "union_states": t.num_states,
-                   "hot_states": t.num_hot,
-                   "table_bytes": t.table_bytes,
-                   "hot_hit_rate": kstats["hot_hit_rate"],
-                   "escapes": kstats["escapes"]})
-
-
-@register_backend
 class HotCold2Backend(ScanBackend):
     """Two-byte-stride union scan: the hot/cold union automaton's
     hottest states squared into a pair-symbol table (one gather
@@ -541,7 +492,6 @@ _VERIFY_KERNELS = {
     "chunked": "flat",
     "cellsim": "flat",
     "fused": "fused",
-    "hotcold": "hotcold",
     "hotcold2": "hotcold2",
 }
 
@@ -587,7 +537,6 @@ def _plan(ctx: ScanContext, request: ScanRequest,
                         fuse=request.fuse,
                         exact=ctx.compiled.supports_hot_cold,
                         fused_bytes=ctx.compiled.fused_table_bytes,
-                        pair_fit=ctx.compiled.pair_table_fits(),
                         prefilter=request.prefilter,
                         screenable=screenable)
 

@@ -49,11 +49,11 @@ from ..dfa.partition import PartitionedDictionary, partition_patterns
 from .compressed import ColdRowStore
 from .scan import (HOT_BUDGET_BYTES, FlatScanner, FusedScanner,
                    FusedTable, HotCold2Scanner, HotCold2Table,
-                   HotColdFusedScanner, HotColdFusedTable,
-                   build_flat_table, build_hot_cold2_table,
-                   build_hot_cold_table, build_weight_table,
-                   fuse_tables, pair_symbol_table, project_states,
-                   visit_order)
+                   HotColdFusedTable, build_flat_table,
+                   build_hot_cold2_table, build_hot_cold_table,
+                   build_weight_table, fuse_tables, pair_symbol_table,
+                   project_states, visit_order)
+from .scan.hotcold2 import rank_dtype
 from .scan.prefilter import PackedPrefilter
 
 __all__ = [
@@ -209,8 +209,6 @@ class CompiledDictionary:
     _slice_maps: Optional[np.ndarray] = field(default=None, repr=False)
     _hotcold: Optional[HotColdFusedTable] = field(default=None, repr=False)
     _hotcold_budget: Optional[int] = field(default=None, repr=False)
-    _hotcold_scanner: Optional[HotColdFusedScanner] = \
-        field(default=None, repr=False)
     _hotcold2: Optional[HotCold2Table] = field(default=None, repr=False)
     _hotcold2_budget: Optional[int] = field(default=None, repr=False)
     _hotcold2_scanner: Optional[HotCold2Scanner] = \
@@ -368,7 +366,7 @@ class CompiledDictionary:
 
     def hot_cold_table(self, budget_bytes: Optional[int] = None
                        ) -> HotColdFusedTable:
-        """The cache-resident execution table: hot/cold split of the
+        """The union kernel's base table: hot/cold split of the
         union automaton under ``budget_bytes`` (default: the
         :func:`hot_budget_bytes` policy).  Cached per budget."""
         if not self.supports_hot_cold:
@@ -392,17 +390,7 @@ class CompiledDictionary:
                 slice_maps=maps, slice_state_weights=sw,
                 slice_state_flags=sf)
             self._hotcold_budget = budget
-            self._hotcold_scanner = None
         return self._hotcold
-
-    def hot_cold_scanner(self, budget_bytes: Optional[int] = None
-                         ) -> HotColdFusedScanner:
-        """A :class:`HotColdFusedScanner` over :meth:`hot_cold_table`,
-        cached alongside it."""
-        table = self.hot_cold_table(budget_bytes)
-        if self._hotcold_scanner is None:
-            self._hotcold_scanner = HotColdFusedScanner(table)
-        return self._hotcold_scanner
 
     # -- two-byte stride (pair) tables ----------------------------------------------
 
@@ -419,19 +407,16 @@ class CompiledDictionary:
 
         Computed arithmetically from an upper bound on the union state
         count (the sum of slice states — prefix sharing only shrinks
-        it), because the planner must decide before anything is built.
-        Full coverage means the two-byte path never escapes to the
-        byte-replay slow path, which is when auto-selecting it is a
-        pure win."""
+        it), so nothing is built.  Full coverage means the two-byte
+        path never escapes to byte replay.  Reported for tracing only:
+        the pair table serves every exact dictionary either way."""
         if not self.supports_hot_cold:
             return False
         budget = hot_budget_bytes() if budget_bytes is None \
             else int(budget_bytes)
         bound = self.total_states + 1
-        if bound + 1 > np.iinfo(np.int16).max:
-            return False
         w2 = self.fold.width * self.fold.width
-        return bound * w2 * 2 <= budget
+        return bound * w2 * rank_dtype(bound).itemsize <= budget
 
     def hot_cold2_table(self, budget_bytes: Optional[int] = None
                         ) -> HotCold2Table:

@@ -226,8 +226,8 @@ class CellStringMatcher:
         the full list of match events with end positions).
 
         ``backend`` names a registry entry (``serial``, ``chunked``,
-        ``fused``, ``hotcold``, ``hotcold2``, ``pooled``, ``streaming``,
-        ``cellsim``) and is the one way to force a kernel;
+        ``fused``, ``hotcold2``, ``pooled``, ``streaming``, ``cellsim``)
+        and is the one way to force a kernel;
         ``None``/``"auto"`` lets the execution planner choose from the
         input size, ``workers`` and ``with_events`` — preferring one
         shared pass whenever the dictionary was partitioned into

@@ -29,8 +29,8 @@ from .stt import row_stride
 
 __all__ = ["TilePlan", "plan_tile", "FIGURE3_CASES", "PlanError",
            "CODE_STACK_BYTES", "COUNTER_AREA_BYTES", "STATE_AREA_BYTES",
-           "ExecutionPlan", "plan_backend", "SERIAL_BYTE_CEILING",
-           "CACHE_BUDGET_BYTES"]
+           "ExecutionPlan", "plan_backend", "batch_kernel",
+           "SERIAL_BYTE_CEILING", "CACHE_BUDGET_BYTES"]
 
 #: Local-store bytes the paper reserves for code and stack.
 CODE_STACK_BYTES = 34 * 1024
@@ -159,10 +159,29 @@ SERIAL_BYTE_CEILING = 1 << 20
 
 #: Host cache ceiling for the *plain* fused table — the planner's
 #: analogue of the tile planner's 256 KB local store.  When the stacked
-#: multi-slice STT would exceed this, the planner prefers the hot/cold
-#: union scan, whose hot partition is budgeted to stay resident
+#: multi-slice STT would exceed this, the planner prefers the union
+#: kernel, whose hot partition is budgeted to stay resident
 #: (``scan.base.HOT_BUDGET_BYTES``) whatever the dictionary's size.
 CACHE_BUDGET_BYTES = HOT_BUDGET_BYTES
+
+
+def batch_kernel(exact: bool, num_slices: int,
+                 fused_bytes: Optional[int],
+                 cache_budget: int = CACHE_BUDGET_BYTES) -> str:
+    """The whole-dictionary kernel for one dictionary — the one place
+    the union-versus-fused rule is written.
+
+    The union kernel (``hotcold2``) needs an exact dictionary (regex
+    tiles have no union automaton) and wins when the dictionary was
+    partitioned or the plain fused table (``fused_bytes``) would
+    overflow ``cache_budget``: one cache-resident pair table advances
+    every slice two bytes per gather, where the stacked STT pays
+    ``num_slices`` gathers per byte over a footprint that grows with
+    the partition count.  Otherwise the stacked ``fused`` grid.
+    """
+    if exact and (num_slices > 1 or (fused_bytes or 0) > cache_budget):
+        return "hotcold2"
+    return "fused"
 
 
 @dataclass(frozen=True)
@@ -204,25 +223,18 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     sharing one pass beat D sequential passes at any size that
     amortises the fixpoint at all; small inputs stay serial.  ``fuse``
     is the escape hatch (``repro scan --no-fuse``): it keeps the plan
-    on one pass per slice, off both the fused and the union kernels.
+    on one pass per slice, off both the fused and the union kernel.
     Forcing one particular kernel is not a planner input — name its
-    backend instead (``repro scan --backend hotcold|hotcold2|fused``).
+    backend instead (``repro scan --backend hotcold2|fused``).
 
-    The hot/cold union scan supersedes the stacked fused pass for
-    *exact* dictionaries (``exact=True`` — regex tiles have no union
-    automaton) when the dictionary was partitioned or the plain fused
-    table (``fused_bytes``) would overflow ``cache_budget``: one
-    cache-resident table advances every slice with one gather per byte,
-    where the stacked STT pays ``num_slices`` gathers over a footprint
-    that grows with the partition count.
-
-    Within the union-scan choice, the *two-byte stride* variant
-    (``hotcold2``) consumes an input pair per gather over a squared-
-    alphabet table on the hot states.  It is auto-selected when the
-    caller certifies the full-coverage pair table fits the hot budget
-    (``pair_fit=True``, see ``CompiledDictionary.pair_table_fits``) —
-    full coverage means the pair loop never escapes, so it strictly
-    dominates the one-byte path.
+    Which shared-pass kernel runs is :func:`batch_kernel`'s rule: the
+    union kernel ``hotcold2`` for *exact* dictionaries (``exact=True``)
+    that were partitioned or whose plain fused table (``fused_bytes``)
+    would overflow ``cache_budget``, else the stacked ``fused`` grid
+    when there are several slices, else ``chunked``.  ``pair_fit`` is
+    still accepted for existing callers but selects nothing: the pair
+    table covers every exact dictionary, escaping to byte replay where
+    its hot set ends.
 
     **The prefilter rule** — the one place every backend inherits the
     packed screening stage from: when the request is an in-memory block
@@ -240,7 +252,7 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     plan = _choose_backend(
         nbytes=nbytes, streaming=streaming, workers=workers,
         with_events=with_events, num_slices=num_slices, fuse=fuse,
-        exact=exact, fused_bytes=fused_bytes, pair_fit=pair_fit,
+        exact=exact, fused_bytes=fused_bytes,
         serial_byte_ceiling=serial_byte_ceiling,
         cache_budget=cache_budget)
     if plan.backend == "streaming" or prefilter is False:
@@ -258,7 +270,7 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
 def _choose_backend(nbytes: Optional[int], streaming: bool, workers: int,
                     with_events: bool, num_slices: int, fuse: bool,
                     exact: bool, fused_bytes: Optional[int],
-                    pair_fit: bool, serial_byte_ceiling: int,
+                    serial_byte_ceiling: int,
                     cache_budget: int) -> ExecutionPlan:
     """The backend decision chain (see :func:`plan_backend`)."""
     if with_events:
@@ -272,19 +284,13 @@ def _choose_backend(nbytes: Optional[int], streaming: bool, workers: int,
         return ExecutionPlan(
             "pooled", f"{workers} workers amortise the sharded pool")
     if nbytes is not None and nbytes > serial_byte_ceiling:
-        want_hc = fuse and (num_slices > 1
-                            or (fused_bytes or 0) > cache_budget)
-        if want_hc and exact:
-            if pair_fit:
-                return ExecutionPlan(
-                    "hotcold2", f"{num_slices} slice(s) share one "
-                    f"union pass over {nbytes} bytes at two bytes per "
-                    f"gather; pair table fits the hot budget")
+        shared = (batch_kernel(exact, num_slices, fused_bytes,
+                               cache_budget) if fuse else None)
+        if shared == "hotcold2":
             return ExecutionPlan(
-                "hotcold", f"{num_slices} slice(s) share one union "
-                f"pass over {nbytes} bytes; hot partition stays "
-                f"cache-resident")
-        if fuse and num_slices > 1:
+                "hotcold2", f"{num_slices} slice(s) share one union "
+                f"pass over {nbytes} bytes at two bytes per gather")
+        if shared == "fused" and num_slices > 1:
             return ExecutionPlan(
                 "fused", f"{num_slices} slices share one pass over "
                 f"{nbytes} bytes (stacked STT)")

@@ -6,8 +6,8 @@ driver, and the staged-pipeline machinery:
 * :mod:`.driver` — speculative chunked block scan, exactness ledger,
   and the reference :class:`VectorDFAEngine`;
 * :mod:`.fused` — stacked multi-DFA table and grid scanner;
-* :mod:`.hotcold` — cache-resident hot/cold union scan;
-* :mod:`.hotcold2` — two-byte-stride pair-symbol variant;
+* :mod:`.hotcold` — hot/cold split of the union automaton;
+* :mod:`.hotcold2` — the union kernel's pair-symbol scan over it;
 * :mod:`.bundle` — :class:`SharedArrayBundle`, the one shared-memory
   export/attach path every kernel uses;
 * :mod:`.kernels` — the :class:`ScanKernel` protocol and registry;
@@ -43,7 +43,6 @@ from .driver import (
 from .flat import FlatScanner, build_flat_table, build_weight_table
 from .fused import FusedScanner, FusedTable, fuse_tables
 from .hotcold import (
-    HotColdFusedScanner,
     HotColdFusedTable,
     build_hot_cold_table,
     project_states,
@@ -66,7 +65,6 @@ from .kernels import (
     FlatKernel,
     FusedKernel,
     HotCold2Kernel,
-    HotColdKernel,
     ScanKernel,
     get_kernel,
     kernel_names,
@@ -80,7 +78,6 @@ __all__ = [
     "FusedTable",
     "FusedScanner",
     "HotColdFusedTable",
-    "HotColdFusedScanner",
     "HotCold2Table",
     "HotCold2Scanner",
     "ScanDetail",

@@ -70,8 +70,8 @@ class SharedArrayBundle:
     Parameters
     ----------
     kind:
-        Codec tag (``"flat_set"``, ``"fused"``, ``"hotcold"``,
-        ``"hotcold2"``, ``"compiled"``) recorded in the manifest so the
+        Codec tag (``"flat_set"``, ``"fused"``, ``"hotcold2"``,
+        ``"compiled"``) recorded in the manifest so the
         attaching side knows how to rebuild the kernel's table object.
     arrays:
         Ordered ``(name, ndarray)`` pairs; each is made contiguous and
@@ -265,9 +265,6 @@ def bundle_from_table(table, scalars: Optional[Dict] = None
                               else float(table.hot2_mass)),
                 **extra}
         return SharedArrayBundle("hotcold2", arrays, meta)
-    if isinstance(table, HotColdFusedTable):
-        return SharedArrayBundle("hotcold", _hotcold_arrays(table),
-                                 {**_hotcold_scalars(table), **extra})
     raise BundleError(f"no shared-memory codec for {type(table).__name__}")
 
 
@@ -307,8 +304,6 @@ def table_from_bundle(bundle: SharedArrayBundle):
                           starts=bundle["starts"],
                           num_states=bundle["num_states"],
                           symbol_width=bundle.scalar("symbol_width"))
-    if kind == "hotcold":
-        return _hotcold_from(bundle)
     if kind == "hotcold2":
         return HotCold2Table(
             base=_hotcold_from(bundle), hot2_flat=bundle["hot2_flat"],

@@ -6,18 +6,16 @@ per gather; escapes replay bytes through the one-byte union table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...dfa.automaton import DFA, DFAError
+from ...dfa.automaton import DFAError
 from .base import (HOT_BUDGET_BYTES, MIN_PIECE, SPECULATION_WARMUP,
                    _ragged_segments, hotcold_lanes_target,
                    hotcold_strip_elems)
-from .driver import _chunked_scan, count_arr
-from .hotcold import HotColdFusedScanner, HotColdFusedTable
+from .hotcold import HotColdFusedTable
 
 
 @dataclass
@@ -34,11 +32,12 @@ class HotCold2Table:
 
     States are renumbered by *hotness rank* (the base table's
     hottest-first visit order), and a pair cell simply stores the
-    destination's rank as an ``int16`` — so a full pair row costs
-    ``2·width²`` bytes, a quarter of the flag-doubled ``int32``
-    encoding, and whether a destination is pair-hot is one compare
-    (``rank < H2``).  The gather index is ``rank·width² + psym``; a
-    lane whose rank is not pair-hot overshoots the table and is clamped
+    destination's rank — as an ``int16`` while the state count allows
+    (:func:`rank_dtype`), so a full pair row costs ``2·width²`` bytes, a
+    quarter of the flag-doubled ``int32`` encoding; larger automata
+    widen to ``int32`` ranks and half as many pair-hot rows.  Whether a
+    destination is pair-hot is one compare (``rank < H2``).  The gather
+    index is ``rank·width² + psym``; a lane whose rank is not pair-hot overshoots the table and is clamped
     by the gather's clip mode onto the final *parking cell* (value
     ``num_states``), where it stays for the rest of the strip.
 
@@ -56,11 +55,11 @@ class HotCold2Table:
     """
 
     base: HotColdFusedTable
-    hot2_flat: np.ndarray        # int16 (H2·W² + 1,): dest ranks + park
+    hot2_flat: np.ndarray        # rank dtype (H2·W² + 1,): ranks + park
     wflat: np.ndarray            # uint8/uint16/int32, same indexing
     fflat: np.ndarray            # uint8, same indexing (2 bits)
     foldpair: np.ndarray         # uint16 (65536,): psym per LE byte pair
-    utr: np.ndarray              # int16 (NS·W,): rank-space transitions
+    utr: np.ndarray              # rank dtype (NS·W,): rank transitions
     order: np.ndarray            # int64 (NS,): rank → union state id
     rank_of: np.ndarray          # int64 (NS,): union state id → rank
     wstate: np.ndarray           # int32 (NS + 1,): multiplicity by rank
@@ -114,6 +113,14 @@ class HotCold2Table:
         return HotCold2Scanner(self)
 
 
+def rank_dtype(num_states: int) -> np.dtype:
+    """Storage type of a pair table's state ranks: ``int16`` while every
+    rank plus the parking value (``num_states``) fits, else ``int32``."""
+    if num_states + 1 <= np.iinfo(np.int16).max:
+        return np.dtype(np.int16)
+    return np.dtype(np.int32)
+
+
 def pair_symbol_table(fold_table: np.ndarray, width: int) -> np.ndarray:
     """``foldpair``: folded pair symbol per little-endian byte pair.
 
@@ -138,29 +145,27 @@ def build_hot_cold2_table(transitions: np.ndarray, final_mask: np.ndarray,
     ``transitions``/``final_mask`` are the same union-automaton arrays
     ``base`` was built from (over the folded alphabet).  The pair-hot
     set is the hottest prefix of the base table's visit order that fits
-    ``budget_bytes`` at ``2·width²`` bytes per row — the same budget
-    discipline as the base table, applied to the squared stride.
+    ``budget_bytes`` at ``width²`` ranks per row (2 or 4 bytes each, see
+    :func:`rank_dtype`) — the same budget discipline as the base table,
+    applied to the squared stride.
     """
     trans = np.asarray(transitions, dtype=np.int64)
     n, width = trans.shape
     if n != base.num_states or width != base.symbol_width:
         raise DFAError("pair table must be built from the same union "
                        "automaton as its base hot/cold table")
-    if n + 1 > np.iinfo(np.int16).max:
-        raise DFAError(
-            f"pair STT stores int16 state ranks; {n} union states "
-            f"exceed the {np.iinfo(np.int16).max - 1} limit")
+    rdt = rank_dtype(n)
     w2 = width * width
     order = np.concatenate([base.hot_states,
                             base.cold_states]).astype(np.int64)
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[order] = np.arange(n, dtype=np.int64)
-    num_hot2 = max(1, min(n, int(budget_bytes) // (w2 * 2)))
+    num_hot2 = max(1, min(n, int(budget_bytes) // (w2 * rdt.itemsize)))
 
     # Rank-space transition matrix: row r is the hotness-rank image of
     # union state order[r]'s row.
     tr_rank = rank_of[trans[order]]                  # (NS, W)
-    utr = tr_rank.astype(np.int16).ravel()
+    utr = tr_rank.astype(rdt).ravel()
     final = (np.asarray(final_mask) != 0)
     f_rank = final[order].astype(np.int32)
     slots = (base.entry_cells.astype(np.int64) >> 1)
@@ -168,7 +173,7 @@ def build_hot_cold2_table(transitions: np.ndarray, final_mask: np.ndarray,
 
     mid = tr_rank[:num_hot2]                         # (H2, W)
     dest = tr_rank[mid]                              # (H2, W, W)
-    hot2_flat = np.empty(num_hot2 * w2 + 1, dtype=np.int16)
+    hot2_flat = np.empty(num_hot2 * w2 + 1, dtype=rdt)
     hot2_flat[:-1] = dest.reshape(num_hot2 * w2)
     hot2_flat[-1] = n                                # parking cell
 
@@ -229,9 +234,9 @@ class _StagedLanes:
 class HotCold2Scanner:
     """Two-byte stride lockstep interpreter over a :class:`HotCold2Table`.
 
-    Drop-in compatible with :class:`HotColdFusedScanner` (and hence
-    :func:`count_arr` / the chunk fixpoint / ``run_streams``): pointer,
-    state_of, scan_cols and step_scalar all speak union states, with
+    Implements the scanner protocol of :func:`count_arr` / the chunk
+    fixpoint / ``run_streams``: pointer, state_of, scan_cols and
+    step_scalar all speak union states, with
     ``rank·2 | is_final`` as the pointer representation.  The hot loop
     gathers once per input *pair*; destinations outside the pair-hot
     set park the lane (via the gather's clip mode) and the strip is
@@ -241,9 +246,9 @@ class HotCold2Scanner:
     exactly.  Matches landing on the *middle* byte of a pair are
     counted by the gather-indexed flag/weight tables — no escape.
 
-    ``weights`` arguments are a mode switch (matching the base
-    scanner's convention): ``None`` counts final-state entries, any
-    array selects the table's own multiplicity layout
+    ``weights`` arguments are a mode switch: ``None`` counts
+    final-state entries, any array selects the table's own multiplicity
+    layout
     (:attr:`weights`, indexed by ``pointer >> 1``).
 
     For large scans, :func:`_chunked_scan` uses the
@@ -255,7 +260,6 @@ class HotCold2Scanner:
 
     def __init__(self, table: HotCold2Table) -> None:
         self.table = table
-        self.base = HotColdFusedScanner(table.base)
         b = table.base
         self.symbol_width = int(b.symbol_width)
         self.alphabet_size = int(b.symbol_width)
@@ -265,6 +269,11 @@ class HotCold2Scanner:
         self._w = self.symbol_width
         self._w2 = self._w * self._w
         self.flat2 = table.hot2_flat
+        self._rank = table.hot2_flat.dtype
+        # Gather indices reach (num_states + 1)·W² - 1 on parked lanes.
+        self._idx = (np.dtype(np.int32)
+                     if (self.num_states + 1) * self._w2
+                     <= np.iinfo(np.int32).max else np.dtype(np.int64))
         self.wflat = table.wflat
         self.fflat = table.fflat
         self.foldpair = table.foldpair
@@ -402,8 +411,10 @@ class HotCold2Scanner:
     def scan_cols(self, cols: np.ndarray, ptrs: np.ndarray,
                   counts: np.ndarray,
                   weights: Optional[np.ndarray] = None) -> np.ndarray:
-        """:meth:`HotColdFusedScanner.scan_cols` at two bytes per
-        gather; any input length (an odd tail takes one rank step)."""
+        """Scan position-major byte columns ``(length, lanes)`` at two
+        bytes per gather, accumulating flag counts (``weights=None``)
+        or multiplicities into ``counts``; any input length (an odd
+        tail takes one rank step)."""
         staged = self._stage_posmajor(cols)
         return self._scan_span(staged, None, 0, cols.shape[0], ptrs,
                                ((counts, weights),), None)
@@ -432,7 +443,7 @@ class HotCold2Scanner:
         mat = staged.mat[sel]
         lanes = mat.shape[0]
         cur64 = np.asarray(ptrs, dtype=np.int64) >> 1
-        cur = cur64.astype(np.int16)
+        cur = cur64.astype(self._rank)
         if t1 <= t0 or not lanes:
             return self._encode(cur)
         self.stats["steps"] += (t1 - t0) * lanes
@@ -465,8 +476,8 @@ class HotCold2Scanner:
         add = np.add
         strip_len = min(p_hi - p_lo,
                         max(8, hotcold_strip_elems() // max(1, lanes)))
-        idxs = np.empty((strip_len, lanes), dtype=np.int32)
-        ids = np.empty((strip_len, lanes), dtype=np.int16)
+        idxs = np.empty((strip_len, lanes), dtype=self._idx)
+        ids = np.empty((strip_len, lanes), dtype=self._rank)
         idx_rows = list(idxs)
         ids_rows = list(ids)
         cur = cur.copy()
@@ -476,7 +487,7 @@ class HotCold2Scanner:
             c = cur
             for i in range(b):
                 row = idx_rows[i]
-                mul(c, w2, out=row, dtype=np.int32, casting="unsafe")
+                mul(c, w2, out=row, dtype=self._idx, casting="unsafe")
                 add(row, psym[p0 + i], out=row)
                 c = ids_rows[i]
                 take(row, mode="clip", out=c)
@@ -538,46 +549,64 @@ class HotCold2Scanner:
         when it entered the strip already cold.  The escape pair itself
         was fully accounted by the gather-indexed aux tables, so the
         replay owes exactly the bytes after it.
+
+        Lanes are sorted by replay start, so the lanes replaying at any
+        byte are a prefix and each step is three whole-slice ufunc
+        calls.  The trajectory is pre-filled with the parking rank
+        (zero flag, zero weight), so cells of lanes that have not
+        started yet count nothing when it is accumulated afterwards.
         """
-        m = int(esc.size)
-        self.stats["escapes"] += m
-        col = ids[:b, esc]
         h2 = self.num_hot2
-        first = np.argmax(col >= h2, axis=0).astype(np.int64)
-        ranks = col[first, np.arange(m)].astype(np.int64)
+        col = ids[:b, esc]
+        first = np.argmax(col >= h2, axis=0)
+        ranks = col[first, np.arange(esc.size)]
         t_start = 2 * (first + 1)
-        precold = pre[esc].astype(np.int64) >= h2
-        if precold.any():
-            ranks[precold] = pre[esc[precold]].astype(np.int64)
-            t_start[precold] = 0
-        extra = [np.zeros(m, dtype=np.int64) for _ in accs]
-        extra2d = None
-        rows = None
-        if slice_accs is not None:
-            counts2d, rows = slice_accs
-            extra2d = np.zeros((len(rows), m), dtype=np.int64)
-        w = self._w
-        utr = self.utr
-        twob = 2 * b
-        lo = int(t_start.min())
-        for t in range(lo, twob):
-            act = np.nonzero(t_start <= t)[0]
-            raw = mat[esc[act], byte0 + t].astype(np.int64)
-            nr = utr[ranks[act] * w + self.foldv[raw]].astype(np.int64)
-            ranks[act] = nr
-            for (_, wts), ex in zip(accs, extra):
-                if wts is None:
-                    ex[act] += self.fstate[nr]
-                else:
-                    ex[act] += self.wstate[nr]
-            if extra2d is not None:
-                extra2d[:, act] += rows[:, nr]
-            self.stats["cold_steps"] += int(act.size)
-        for (acc, _), ex in zip(accs, extra):
-            acc[esc] += ex
-        if extra2d is not None:
-            counts2d[:, esc] += extra2d
-        cur[esc] = ranks.astype(np.int16)
+        precold = pre[esc] >= h2
+        ranks[precold] = pre[esc[precold]]
+        t_start[precold] = 0
+        order = np.argsort(t_start, kind="stable")
+        esc, ranks, t_start = esc[order], ranks[order], t_start[order]
+        self.stats["escapes"] += int(esc.size)
+        lo, hi = int(t_start[0]), 2 * b
+        if hi > lo:
+            syms = np.ascontiguousarray(
+                self.foldv.take(mat[esc, byte0 + lo:byte0 + hi]).T)
+            active = np.searchsorted(t_start, np.arange(lo, hi),
+                                     side="right").tolist()
+            traj = np.full((hi - lo, esc.size), self.num_states,
+                           dtype=self._rank)
+            idx = np.empty(esc.size, dtype=self._idx)
+            take = self.utr.take
+            w = self._w
+            for j, a in enumerate(active):
+                ia, row = idx[:a], traj[j, :a]
+                np.multiply(ranks[:a], w, out=ia, dtype=self._idx,
+                            casting="unsafe")
+                np.add(ia, syms[j, :a], out=ia)
+                take(ia, mode="clip", out=row)
+                ranks[:a] = row
+            self.stats["cold_steps"] += int((hi - t_start).sum())
+            self._accumulate_ranks(traj, esc, accs, slice_accs)
+        cur[esc] = ranks
+
+    def _accumulate_ranks(self, traj: np.ndarray, lanes: np.ndarray,
+                          accs, slice_accs) -> None:
+        """Add a rank trajectory ``(steps, len(lanes))`` into the
+        accumulators of ``lanes`` (parking cells count nothing)."""
+        for acc, wts in accs:
+            table = self.fstate if wts is None else self.wstate
+            acc[lanes] += table.take(traj).sum(axis=0, dtype=np.int64)
+        if slice_accs is None:
+            return
+        counts2d, rows = slice_accs
+        tt, ll = np.nonzero(self.fstate.take(traj))
+        if not tt.size:
+            return
+        rk = traj[tt, ll]
+        for d in range(len(rows)):
+            counts2d[d, lanes] += np.bincount(
+                ll, weights=rows[d, rk],
+                minlength=lanes.size).astype(np.int64)
 
     def _single_steps(self, mat: np.ndarray, cur: np.ndarray,
                       t0: int, t1: int, accs,
@@ -600,7 +629,7 @@ class HotCold2Scanner:
                     acc += self.wstate[r]
             if rows is not None:
                 counts2d += rows[:, r]
-        return r.astype(np.int16)
+        return r.astype(self._rank)
 
     # -- block scanning ----------------------------------------------------------
 
@@ -682,7 +711,11 @@ class HotCold2Scanner:
                     start_states: Optional[np.ndarray] = None,
                     weights: Optional[np.ndarray] = None
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`HotColdFusedScanner.run_streams` at pair stride.
+        """Scan independent ragged streams over the union automaton.
+
+        Returns ``(counts, final_states)``, both shaped
+        ``(num_streams,)`` — the whole dictionary's totals per stream in
+        one pass.  States are union states; streams are raw bytes.
 
         Ragged segment boundaries and zero/odd-length streams are
         exact: each lockstep segment re-aligns its own pair phase and

@@ -1,6 +1,6 @@
 """The ScanKernel protocol: every inner loop behind one interface.
 
-A *kernel* adapts one scanner family (flat, fused, hotcold, hotcold2)
+A *kernel* adapts one scanner family (flat, fused, hotcold2)
 to a uniform surface so the backends, the sharded pool, the prefilter
 verifier and the differential tests stop branching on scanner types:
 
@@ -8,8 +8,8 @@ verifier and the differential tests stop branching on scanner types:
     The kernel's table object(s) — introspection and size accounting.
 ``count_arr_per_dfa(arr, chunks)``
     Exact per-slice ``(counts, exit_states)`` over one block, exit
-    states in *slice-local* state space for every kernel (union
-    kernels project through their slice maps), so results are
+    states in *slice-local* state space for every kernel (the union
+    kernel projects through its slice maps), so results are
     directly comparable across kernels.
 ``count_total(arr, chunks)``
     Exact whole-dictionary total over one block — the headline scan.
@@ -18,7 +18,7 @@ verifier and the differential tests stop branching on scanner types:
     from ``entry_states`` (one per chain; ``None`` = start states).  A
     chain is one independently carried automaton: a slice for the flat
     and fused kernels, the single union automaton for the union
-    kernels (whose ledgers stay in union state space).  This is what
+    kernel (whose ledgers stay in union state space).  This is what
     the sharded pool scans shards and carries state across buffers
     with.
 ``repair(chain, arr, detail, entry_state, chunks)``
@@ -62,9 +62,8 @@ from .driver import ScanDetail, count_arr, count_arr_detail, \
     repair_detail
 from .flat import FlatScanner, build_flat_table, build_weight_table
 
-__all__ = ["ScanKernel", "FlatKernel", "FusedKernel", "HotColdKernel",
-           "HotCold2Kernel", "KERNELS", "register_kernel", "get_kernel",
-           "kernel_names"]
+__all__ = ["ScanKernel", "FlatKernel", "FusedKernel", "HotCold2Kernel",
+           "KERNELS", "register_kernel", "get_kernel", "kernel_names"]
 
 
 KERNELS: Dict[str, Type["ScanKernel"]] = {}
@@ -391,31 +390,34 @@ class FusedKernel(_ScannerKernel):
         return counts.sum(axis=0), np.asarray(finals, dtype=np.int64)
 
 
-class _UnionKernel(_ScannerKernel):
-    """Shared body for the hot/cold union kernels: whole-dictionary
-    scans over one union automaton, per-slice results projected through
-    the table's slice maps."""
+@register_kernel
+class HotCold2Kernel(_ScannerKernel):
+    """The union kernel: whole-dictionary scans over one union
+    automaton whose hottest states are squared into a pair-symbol table
+    (one gather per two input bytes, §4), per-slice results projected
+    through the base table's slice maps."""
+
+    name = "hotcold2"
 
     @classmethod
     def supports(cls, compiled) -> bool:
         return compiled.supports_hot_cold
 
+    @classmethod
+    def from_compiled(cls, compiled) -> "HotCold2Kernel":
+        return cls(compiled.hot_cold2_scanner())
+
     @property
     def _slice_maps(self) -> np.ndarray:
-        maps = self._base_table.slice_maps
+        maps = self.table.base.slice_maps
         if maps is None:
             raise DFAError(
                 "hot/cold table was built without slice maps")
         return maps
 
     @property
-    def _base_table(self):
-        return self.table
-
-    @property
     def num_slices(self) -> int:
-        maps = self._base_table.slice_maps
-        return 1 if maps is None else len(maps)
+        return self.table.num_dfas
 
     def count_arr_per_dfa(self, arr, chunks=None):
         sc = self.scanner
@@ -449,33 +451,3 @@ class _UnionKernel(_ScannerKernel):
         counts, finals = sc.run_streams(streams, weights=sc.weights)
         finals = np.asarray(finals, dtype=np.int64)
         return counts, self._slice_maps[:, finals].astype(np.int64)
-
-
-@register_kernel
-class HotColdKernel(_UnionKernel):
-    """Cache-resident hot/cold union table, one gather per byte (§4)."""
-
-    name = "hotcold"
-
-    @classmethod
-    def from_compiled(cls, compiled) -> "HotColdKernel":
-        return cls(compiled.hot_cold_scanner())
-
-
-@register_kernel
-class HotCold2Kernel(_UnionKernel):
-    """Pair-symbol hot table, one gather per two input bytes (§4)."""
-
-    name = "hotcold2"
-
-    @classmethod
-    def supports(cls, compiled) -> bool:
-        return compiled.supports_hot_cold
-
-    @classmethod
-    def from_compiled(cls, compiled) -> "HotCold2Kernel":
-        return cls(compiled.hot_cold2_scanner())
-
-    @property
-    def _base_table(self):
-        return self.table.base

@@ -58,6 +58,11 @@ MIN_PATTERN_LEN = 3
 DENSITY_CEILING_PCT = 50
 #: Dense-padding budget for grouped segment verification (bytes).
 GROUP_BUDGET_BYTES = 8 << 20
+#: Trigram samples screened per strip.  Every temporary of
+#: :meth:`PackedPrefilter.screen` is sized by the strip, not the block,
+#: so a 4 MiB block reuses the same few small heap buffers as a 64 KiB
+#: one instead of asking the allocator for fresh block-sized pages.
+SCREEN_STRIP = 1 << 14
 
 
 def _density_ceiling() -> float:
@@ -192,18 +197,25 @@ class PackedPrefilter:
                                 0, 0, 0, False)
         # Sample first, fold second: only every stride-th trigram is
         # ever touched, so the screen's cost scales with n / stride.
+        # Sample k is the trigram starting at byte k·step.
         step = self.stride
-        s2 = np.ascontiguousarray(arr[2:n:step])
-        if step % 2 == 0:
-            pairs = np.ascontiguousarray(
-                arr[:n & ~1].view(np.uint16)[::step // 2][:s2.size])
-            codes = self._pair01.take(pairs)
-        else:
-            codes = self._t0.take(np.ascontiguousarray(arr[0:n - 2:step]))
-            codes += self._t1.take(np.ascontiguousarray(arr[1:n - 1:step]))
-        codes += self._t2.take(s2)
-        pos = np.flatnonzero(self.mask.take(codes)).astype(np.int64) * step
-        positions = int(codes.size)
+        positions = len(range(2, n, step))
+        pairs = arr[:n & ~1].view(np.uint16) if step % 2 == 0 else None
+        hits = []
+        for k0 in range(0, positions, SCREEN_STRIP):
+            k1 = min(k0 + SCREEN_STRIP, positions)
+            lo, hi = k0 * step, (k1 - 1) * step + 1
+            if pairs is not None:
+                codes = self._pair01.take(pairs[lo // 2:hi // 2 + 1:step // 2])
+            else:
+                codes = self._t0.take(arr[lo:hi:step])
+                codes += self._t1.take(arr[lo + 1:hi + 1:step])
+            codes += self._t2.take(arr[lo + 2:hi + 2:step])
+            hit = np.flatnonzero(self.mask.take(codes))
+            if hit.size:
+                hits.append(hit + k0)
+        pos = (np.concatenate(hits).astype(np.int64) * step if hits
+               else np.empty(0, dtype=np.int64))
         if pos.size == 0:
             self.stats["clean_blocks"] += 1
             return ScreenResult(np.empty((0, 2), dtype=np.int64),

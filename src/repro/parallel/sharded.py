@@ -221,7 +221,7 @@ class ShardedScanner:
     @property
     def num_chains(self) -> int:
         """Independently counted automata: one per slice for the flat
-        and fused kernels, one for the union kernels."""
+        and fused kernels, one for the union kernel."""
         return len(self._starts)
 
     # -- block scanning -----------------------------------------------------------

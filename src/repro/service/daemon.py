@@ -394,9 +394,17 @@ class ScanService:
         # The one place the serving mode is chosen.
         fleet = WorkerPool if self.config.pool_workers > 0 else LocalFleet
         self._fleet = fleet(self, self.control.executor)
-        await self.control.start(self._fleet)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+        try:
+            await self.control.start(self._fleet)
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.config.host,
+                self.config.port)
+        except BaseException:
+            # A failed start (e.g. the port is taken) must not leave
+            # forked workers, their segments or the control thread.
+            await self._fleet.stop()
+            self.control.executor.shutdown(wait=True)
+            raise
         sock = self._server.sockets[0].getsockname()
         self.host, self.port = sock[0], sock[1]
 

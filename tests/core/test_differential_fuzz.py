@@ -30,7 +30,7 @@ SLICE_TARGETS = (1, 2, 4, 8)
 
 #: Block backends whose pipelines are compared with and without the
 #: screening stage.
-BLOCK_BACKENDS = ["serial", "chunked", "fused", "hotcold", "hotcold2"]
+BLOCK_BACKENDS = ["serial", "chunked", "fused", "hotcold2"]
 
 _COMPILED = {}
 
@@ -79,7 +79,7 @@ class TestKernelFuzz:
         kernels = {name: get_kernel(name).from_compiled(compiled)
                    for name in kernel_names()
                    if get_kernel(name).supports(compiled)}
-        assert set(kernels) == {"flat", "fused", "hotcold", "hotcold2"}
+        assert set(kernels) == {"flat", "fused", "hotcold2"}
         pf = compiled.prefilter()
         assert pf is not None, "dictionary must stay screenable"
         rng = random.Random(1000 + slices)
@@ -169,7 +169,7 @@ class TestPipelineFuzz:
         data = b"\x00\x01\x02\x03\x04\x05\x06\x07" * 25_000
         with ScanContext(compiled) as ctx:
             out = execute(ctx, ScanRequest(data=data, prefilter=True),
-                          backend="hotcold")
+                          backend="hotcold2")
             assert out.total_matches == 0
             assert out.stats["prefilter"]["segments"] == 0
             assert out.stats["prefilter"]["fall_through"] is False
@@ -241,6 +241,46 @@ class TestPolicyPathDifferential:
             tenant.close()
 
 
+class TestScreenStrips:
+    """The screen works in strips of ``SCREEN_STRIP`` samples; matches
+    that straddle a strip boundary, on blocks that are no multiple of
+    the strip, must land in a candidate window on both sampling paths
+    (odd stride: three folds per sample; even stride: the pair table)."""
+
+    @pytest.mark.parametrize("minlen", [5, 6], ids=["odd", "even"])
+    def test_matches_across_strip_boundaries(self, minlen, monkeypatch):
+        from repro.core.scan import prefilter as pf_mod
+
+        words = [w for w in WORDS if len(w) >= minlen]
+        words.append(b"qzxjv"[:minlen].ljust(minlen, b"k"))
+        compiled = compile_dictionary(words)
+        pf = compiled.prefilter()
+        assert pf.stride == minlen - 2
+        span = pf_mod.SCREEN_STRIP * pf.stride
+        rng = random.Random(minlen)
+        buf = bytearray(rng.randrange(0x30, 0x3A)
+                        for _ in range(3 * span + 1237))
+        # One word across each strip boundary, starting 1, 2 and
+        # minlen - 1 bytes before it, plus one ending the block.
+        planted = [(k * span - shift, words[k])
+                   for k, shift in ((1, 1), (2, 2), (3, minlen - 1))]
+        planted.append((len(buf) - len(words[0]), words[0]))
+        for pos, word in planted:
+            buf[pos:pos + len(word)] = word
+        arr = np.frombuffer(bytes(buf), dtype=np.uint8)
+        kern = get_kernel("hotcold2").from_compiled(compiled)
+        total = kern.count_total(arr)
+        assert total >= len(planted)
+        res = pf.screen(arr)
+        assert not res.fall_through
+        assert count_segments(kern, arr, res.segments) == total
+        # One strip over the whole block gives the same windows.
+        monkeypatch.setattr(pf_mod, "SCREEN_STRIP", 1 << 40)
+        whole = pf.screen(arr)
+        assert np.array_equal(whole.segments, res.segments)
+        assert (whole.positions, whole.hits) == (res.positions, res.hits)
+
+
 class TestConflictValidation:
     """Contradictory requests (flag combos, or a backend the request or
     dictionary cannot use) raise a BackendError naming the conflict."""
@@ -249,13 +289,13 @@ class TestConflictValidation:
         with ScanContext(compiled_with_slices(1)) as ctx:
             with pytest.raises(BackendError, match="match events"):
                 execute(ctx, ScanRequest(data=b"x", with_events=True),
-                        backend="hotcold")
+                        backend="hotcold2")
 
     def test_union_flags_need_exact_dictionary(self):
         regex = compile_dictionary(["vi.us"], regex=True)
         with ScanContext(regex) as ctx:
             with pytest.raises(BackendError, match="union automaton"):
-                execute(ctx, ScanRequest(data=b"x"), backend="hotcold")
+                execute(ctx, ScanRequest(data=b"x"), backend="hotcold2")
 
     def test_prefilter_conflicts_with_stream_input(self):
         with ScanContext(compiled_with_slices(1)) as ctx:

@@ -252,10 +252,8 @@ class TestFusedBackend:
             auto = execute(ctx, ScanRequest(data=raw))
             fused = execute(ctx, ScanRequest(data=raw), backend="fused")
             classic = execute(ctx, ScanRequest(data=raw, fuse=False))
-        # union table, one pass — at pair stride when the squared
-        # table reaches full coverage
-        assert auto.backend == ("hotcold2" if compiled.pair_table_fits()
-                                else "hotcold")
+        # union table, one pass at pair stride
+        assert auto.backend == "hotcold2"
         assert fused.backend == "fused"
         assert classic.backend == "chunked"
         assert auto.total_matches == fused.total_matches \

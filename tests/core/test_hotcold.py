@@ -1,8 +1,9 @@
-"""The hot/cold fused scan path: union-automaton hot/cold split,
-cold-row compression, the slow-path escape, planner/backend selection,
-shared-memory transport and the v4 artifact roundtrip — every count
-AND exit state differentially locked against the per-DFA serial path
-and the naive reference."""
+"""The hot/cold union path: the union automaton's hot/cold split and
+cold-row compression (the base table), and the union kernel over it —
+the slow-path escape, planner/backend selection, shared-memory
+transport and the v4 artifact roundtrip, every count AND exit state
+differentially locked against the per-DFA serial path and the naive
+reference."""
 
 import random
 
@@ -15,8 +16,8 @@ from repro.core.backends import (BackendError, ScanContext, ScanRequest,
 from repro.core.compiled import (ArtifactCache, COUNTERS,
                                  TABLE_FORMAT_VERSION,
                                  compile_dictionary)
-from repro.core.scan import (FlatScanner, HotColdFusedScanner,
-                             HotColdKernel, SharedArrayBundle, count_arr)
+from repro.core.scan import (FlatScanner, HotCold2Kernel,
+                             SharedArrayBundle, count_arr)
 from repro.dfa.automaton import DFAError
 from repro.core.planner import CACHE_BUDGET_BYTES, plan_backend
 from repro.parallel import ShardedScanner
@@ -29,7 +30,8 @@ PATTERNS = [b"abab", b"ABABAB", b"BABA", b"@[", b"`{", b"attack",
             b"exploit", b"malware", b"rootkit", b"phish", b"botnet"]
 
 #: A budget this small forces num_hot == 1 (one hot row costs
-#: stride × 4 = 256 bytes): the adversarial everything-cold layout.
+#: stride × 4 = 256 bytes) and num_hot2 == 1: the adversarial
+#: everything-cold layout.
 ALL_COLD_BUDGET = 16
 
 _COMPILED = {}
@@ -114,8 +116,7 @@ class TestHotColdTable:
     def test_pointer_state_roundtrip_every_state(self):
         compiled = compiled_with_slices(4)
         for budget in (ALL_COLD_BUDGET, 2048, 1 << 26):
-            hc = HotColdFusedScanner(
-                compiled.hot_cold_table(budget_bytes=budget))
+            hc = compiled.hot_cold2_table(budget_bytes=budget).scanner()
             states = np.arange(hc.num_states, dtype=np.int64)
             ptrs = np.asarray([hc.pointer(s) for s in states])
             assert np.array_equal(hc.state_of(ptrs), states)
@@ -127,7 +128,7 @@ class TestHotColdTable:
 
 
 class TestHotColdDifferential:
-    """Hot/cold union pass == D serial passes, bit-exact, D in
+    """Union kernel pass == D serial passes, bit-exact, D in
     {1,2,4,8}, including the adversarial everything-cold layout."""
 
     @pytest.mark.parametrize("slices", [1, 2, 4, 8])
@@ -135,7 +136,7 @@ class TestHotColdDifferential:
                              ids=["flag", "weighted"])
     def test_counts_and_exits_match_serial(self, slices, weighted):
         compiled = compiled_with_slices(slices)
-        hc = compiled.hot_cold_scanner()
+        hc = compiled.hot_cold2_scanner()
         rng = random.Random(slices * 2000 + weighted)
         for length in (0, 1, 7, 311, 1024, 5000):
             raw = _corpus(rng, length)
@@ -154,8 +155,8 @@ class TestHotColdDifferential:
     @pytest.mark.parametrize("slices", [1, 4])
     def test_all_cold_table_still_exact(self, slices):
         compiled = compiled_with_slices(slices)
-        hc = HotColdFusedScanner(
-            compiled.hot_cold_table(budget_bytes=ALL_COLD_BUDGET))
+        hc = compiled.hot_cold2_table(
+            budget_bytes=ALL_COLD_BUDGET).scanner()
         rng = random.Random(31 + slices)
         raw = _corpus(rng, 3000)
         arr = np.frombuffer(raw, dtype=np.uint8)
@@ -170,7 +171,7 @@ class TestHotColdDifferential:
 
     def test_whole_dictionary_totals_match_naive(self):
         compiled = compiled_with_slices(4)
-        hc = compiled.hot_cold_scanner()
+        hc = compiled.hot_cold2_scanner()
         fold = compiled.fold
         naive = NaiveMatcher([fold.fold_bytes(p) for p in PATTERNS])
         rng = random.Random(41)
@@ -182,7 +183,7 @@ class TestHotColdDifferential:
 
     def test_hot_hit_rate_bounds_and_escape_accounting(self):
         compiled = compiled_with_slices(4)
-        hc = compiled.hot_cold_scanner()
+        hc = compiled.hot_cold2_scanner()
         hc.reset_stats()
         raw = _corpus(random.Random(43), 2000)
         count_arr(hc, np.frombuffer(raw, dtype=np.uint8), 8, hc.start)
@@ -191,7 +192,7 @@ class TestHotColdDifferential:
 
     def test_run_streams_matches_fused_reduction(self):
         compiled = compiled_with_slices(4)
-        hc = compiled.hot_cold_scanner()
+        hc = compiled.hot_cold2_scanner()
         fs = compiled.fused_scanner()
         rng = random.Random(47)
         streams = [_corpus(rng, n) for n in (0, 5, 313, 1201, 64)]
@@ -210,7 +211,7 @@ class TestHotColdDifferential:
 
     def test_arbitrary_per_dfa_entries_rejected(self):
         compiled = compiled_with_slices(2)
-        hc = compiled.hot_cold_scanner()
+        hc = compiled.hot_cold2_scanner()
         arr = np.frombuffer(b"abcd", dtype=np.uint8)
         with pytest.raises(DFAError, match="union start"):
             hc.count_arr_per_dfa(arr, 4, entry_states=[1, 1])
@@ -221,28 +222,28 @@ class TestPlannerSelection:
 
     def test_multi_slice_exact_dictionary_selects_hotcold(self):
         plan = plan_backend(nbytes=self.NB, num_slices=4, exact=True)
-        assert plan.backend == "hotcold"
+        assert plan.backend == "hotcold2"
 
     def test_oversized_single_slice_selects_hotcold(self):
         plan = plan_backend(nbytes=self.NB, num_slices=1, exact=True,
                             fused_bytes=CACHE_BUDGET_BYTES * 4)
-        assert plan.backend == "hotcold"
+        assert plan.backend == "hotcold2"
 
     def test_cache_resident_single_slice_keeps_chunked(self):
         plan = plan_backend(nbytes=self.NB, num_slices=1, exact=True,
                             fused_bytes=CACHE_BUDGET_BYTES // 2)
-        assert plan.backend != "hotcold"
+        assert plan.backend == "chunked"
 
     def test_regex_dictionaries_never_select_hotcold(self):
         plan = plan_backend(nbytes=self.NB, num_slices=4, exact=False)
-        assert plan.backend != "hotcold"
+        assert plan.backend == "fused"
 
     def test_explicit_override_wins_both_ways(self):
         # Forcing a kernel is the backend name's job, not the planner's:
         # it wins over the footprint rule in both directions.
         raw = b"a virus, a WORM, abab attack " * 100
         for compiled, backend in ((compile_dictionary([b"virus"]),
-                                   "hotcold"),
+                                   "hotcold2"),
                                   (compiled_with_slices(4), "fused")):
             with ScanContext(compiled) as ctx:
                 out = execute(ctx, ScanRequest(raw), backend=backend)
@@ -259,18 +260,14 @@ class TestBackendExecution:
     def test_auto_selects_hotcold_and_counts_match(self):
         compiled = compiled_with_slices(4)
         ctx = ScanContext(compiled)
-        # The planner may upgrade to the two-byte pair path when its
-        # full-coverage table fits the budget; the backend name pins
-        # the one-byte union scan under test here.
-        pinned = execute(ctx, ScanRequest(self.RAW), backend="hotcold")
+        pinned = execute(ctx, ScanRequest(self.RAW), backend="hotcold2")
         forced = execute(ctx, ScanRequest(self.RAW), backend="fused")
-        assert pinned.backend == "hotcold"
+        assert pinned.backend == "hotcold2"
         assert pinned.total_matches == forced.total_matches
-        assert pinned.stats["hot_states"] >= 1
+        assert pinned.stats["hot2_states"] >= 1
         assert 0.0 <= pinned.stats["hot_hit_rate"] <= 1.0
         free = execute(ctx, ScanRequest(self.RAW))
-        assert free.backend == ("hotcold2" if compiled.pair_table_fits()
-                                else "hotcold")
+        assert free.backend == "hotcold2"
         assert free.total_matches == forced.total_matches
 
     def test_escape_hatch_disables_hotcold(self):
@@ -282,24 +279,24 @@ class TestBackendExecution:
     def test_regex_context_refuses_hotcold(self):
         compiled = compile_dictionary(["vi.us", "wo?rm"], regex=True)
         with pytest.raises(BackendError, match="union automaton"):
-            ScanContext(compiled).kernel("hotcold")
+            ScanContext(compiled).kernel("hotcold2")
         out = execute(ScanContext(compiled), ScanRequest(self.RAW))
-        assert out.backend != "hotcold"
+        assert out.backend != "hotcold2"
 
 
 class TestSharedHotCold:
     def test_segment_roundtrip_and_attach(self):
         compiled = compiled_with_slices(4)
-        kernel = HotColdKernel.from_compiled(compiled)
+        kernel = HotCold2Kernel.from_compiled(compiled)
         raw = _corpus(random.Random(53), 3000)
         arr = np.frombuffer(raw, dtype=np.uint8)
         ref = kernel.count_total(arr, 16)
         with kernel.shared_export() as shared:
             peer = SharedArrayBundle.attach(shared.meta())
             try:
-                attached = HotColdKernel.from_bundle(peer)
+                attached = HotCold2Kernel.from_bundle(peer)
                 assert attached.count_total(arr, 16) == ref
-                assert attached.table.num_hot == kernel.table.num_hot
+                assert attached.table.num_hot2 == kernel.table.num_hot2
                 assert attached.input_bound is None
             finally:
                 attached = None
@@ -310,18 +307,18 @@ class TestSharedHotCold:
         compiled = compiled_with_slices(4)
         raw = bytes(_corpus(random.Random(59), 200_000))
         arr = np.frombuffer(raw, dtype=np.uint8)
-        hc = compiled.hot_cold_scanner()
+        hc = compiled.hot_cold2_scanner()
         ref, _ = count_arr(hc, arr, 64, hc.start, weights=hc.weights)
-        with ShardedScanner(HotColdKernel.from_compiled(compiled),
+        with ShardedScanner(HotCold2Kernel.from_compiled(compiled),
                             workers=workers) as s:
             assert s.count_block(raw) == int(ref)
 
     def test_sharded_hot_cold_rejects_regex(self):
         compiled = compile_dictionary(["vi.us"], regex=True)
-        assert not HotColdKernel.supports(compiled)
+        assert not HotCold2Kernel.supports(compiled)
         with ScanContext(compiled) as ctx:
             with pytest.raises(BackendError, match="union automaton"):
-                ctx.kernel("hotcold")
+                ctx.kernel("hotcold2")
             assert ctx.batch_kernel_name() == "fused"
 
 
@@ -338,7 +335,7 @@ class TestArtifactMigration:
         before = dict(COUNTERS)
         cd = compile_dictionary(self.PATTERNS, cache=cache)
         assert COUNTERS["cache_misses"] == before["cache_misses"] + 1
-        assert cd.hot_cold_scanner() is not None
+        assert cd.hot_cold2_scanner() is not None
         assert cur.exists() and v3.exists()     # old file left alone
 
     def test_stale_meta_version_is_a_miss_not_a_crash(self, tmp_path):
@@ -369,7 +366,7 @@ class TestArtifactMigration:
         assert built.num_slices > 1
         builds = COUNTERS["automaton_builds"]
         loaded = compile_dictionary(pats, max_states=60, cache=cache)
-        hc = loaded.hot_cold_scanner()
+        hc = loaded.hot_cold2_scanner()
         assert COUNTERS["automaton_builds"] == builds, \
             "warm start rebuilt the union automaton"
         raw = b"zzAASIGzz BBSIG ccsig " * 50

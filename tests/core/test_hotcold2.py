@@ -20,6 +20,7 @@ from repro.core.scan import (HOTCOLD_LANES_TARGET, HotCold2Kernel,
                              pair_symbol_table)
 from repro.core.planner import plan_backend
 from repro.parallel import ShardedScanner
+from repro.workloads import ascii_keywords, plant_matches, random_payload
 
 from .test_hotcold import (ALL_COLD_BUDGET, compiled_with_slices, _corpus,
                            per_dfa_reference)
@@ -153,19 +154,16 @@ class TestHotCold2Differential:
                 np.frombuffer(raw, np.uint8), 1, weights=hc2.weights)
             assert np.array_equal(got, want), pad
 
-    def test_whole_block_totals_match_hotcold(self):
+    def test_whole_block_totals_match_flat(self):
         compiled = compiled_with_slices(4)
         rng = random.Random(9)
         raw = _corpus(rng, 60_001)
         arr = np.frombuffer(raw, dtype=np.uint8)
-        hc = compiled.hot_cold_scanner()
         hc2 = compiled.hot_cold2_scanner()
-        want, wexit = count_arr(hc, arr, 32, hc.start,
-                                weights=hc.weights)
-        got, gexit = count_arr(hc2, arr, 32, hc2.start,
-                               weights=hc2.weights)
-        assert int(got) == int(want)
-        assert int(gexit) == int(wexit)
+        want = int(per_dfa_reference(compiled, raw, 32,
+                                     weighted=True)[0].sum())
+        got, _ = count_arr(hc2, arr, 32, hc2.start, weights=hc2.weights)
+        assert int(got) == want
 
     def test_arbitrary_per_dfa_entries_rejected(self):
         from repro.dfa.automaton import DFAError
@@ -276,23 +274,23 @@ class TestPlannerAndBackend:
     RAW = (b"a virus, a WORM, abab attack `{ " * 40_000)
 
     def test_planner_upgrades_to_pair_path_on_fit(self):
-        plan = plan_backend(nbytes=1 << 22, num_slices=4, exact=True,
-                            pair_fit=True)
-        assert plan.backend == "hotcold2"
-        plan = plan_backend(nbytes=1 << 22, num_slices=4, exact=True,
-                            pair_fit=False)
-        assert plan.backend == "hotcold"
+        # pair_fit is still accepted but no longer selects anything:
+        # the pair table serves every exact dictionary.
+        for fit in (True, False):
+            plan = plan_backend(nbytes=1 << 22, num_slices=4, exact=True,
+                                pair_fit=fit)
+            assert plan.backend == "hotcold2"
 
     def test_two_byte_escape_hatch_wins_both_ways(self):
-        # The backend name forces the stride either way, whatever the
-        # planner's pair-fit rule would pick.
+        # The backend name forces either shared-pass kernel, whatever
+        # the planner would pick.
         with ScanContext(compiled_with_slices(4)) as ctx:
             forced = execute(ctx, ScanRequest(self.RAW),
                              backend="hotcold2")
             vetoed = execute(ctx, ScanRequest(self.RAW),
-                             backend="hotcold")
+                             backend="fused")
         assert forced.backend == "hotcold2"
-        assert vetoed.backend == "hotcold"
+        assert vetoed.backend == "fused"
         assert forced.total_matches == vetoed.total_matches
 
     def test_two_byte_implies_the_union_scan(self):
@@ -331,8 +329,7 @@ class TestPlannerAndBackend:
         compiled = compiled_with_slices(4)
         ctx = ScanContext(compiled)
         name = ctx.batch_kernel_name()
-        if compiled.pair_table_fits():
-            assert name == "hotcold2"
+        assert name == "hotcold2"
         kern = ctx.kernel(name)
         kern.reset_stats()
         payloads = [self.RAW[:977], b"", b"virus" * 30, self.RAW[7:400]]
@@ -350,9 +347,9 @@ class TestPlannerAndBackend:
                                [b"virus", b"worm", b"attack"]])
         text = "a virus, a WORM, attack " * 50_000
         pair = m.scan(text, backend="hotcold2")
-        pinned = m.scan(text, backend="hotcold")
+        pinned = m.scan(text, backend="fused")
         assert pair.backend == "hotcold2"
-        assert pinned.backend == "hotcold"
+        assert pinned.backend == "fused"
         assert pair.total_matches == pinned.total_matches
 
 
@@ -395,6 +392,65 @@ class TestSharedHotCold2:
             with pytest.raises(BackendError, match="union automaton"):
                 ctx.kernel("hotcold2")
             assert ctx.batch_kernel_name() == "fused"
+
+
+class TestWideRanks:
+    """A union automaton past the int16 rank limit (55,808 states):
+    the pair table widens its ranks to int32 and still scans exactly
+    like the flat kernel."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        compiled = compile_dictionary(ascii_keywords(40_000, 4))
+        assert compiled.num_slices == 1
+        assert compiled.total_states > np.iinfo(np.int16).max
+        raw = bytes(plant_matches(random_payload(300_001, seed=21),
+                                  ascii_keywords(40_000, 4), 400,
+                                  seed=22))
+        return compiled, np.frombuffer(raw, dtype=np.uint8)
+
+    def test_ranks_widen_and_stay_in_budget(self, wide):
+        compiled, _ = wide
+        t = compiled.hot_cold2_table()
+        assert t.hot2_flat.dtype == np.int32 and t.utr.dtype == np.int32
+        assert int(t.hot2_flat[-1]) == t.num_states
+        assert t.hot2_bytes - 4 <= t.pair_budget_bytes
+        with ScanContext(compiled) as ctx:
+            assert ctx.batch_kernel_name() == "hotcold2"
+
+    def test_block_matches_chunked(self, wide):
+        compiled, arr = wide
+        with ScanContext(compiled) as ctx:
+            got = execute(ctx, ScanRequest(arr.tobytes(), prefilter=False),
+                          backend="hotcold2")
+            want = execute(ctx, ScanRequest(arr.tobytes(),
+                                            prefilter=False),
+                           backend="chunked")
+        assert want.total_matches > 0
+        assert got.total_matches == want.total_matches
+
+    def test_detail_from_non_start_entries_matches_flat(self, wide):
+        compiled, arr = wide
+        with ScanContext(compiled) as ctx:
+            pair, flat = ctx.kernel("hotcold2"), ctx.kernel("flat")
+            dfa = compiled.dfas[0]
+            for entry in (dfa.start, 1, 40_000, dfa.num_states - 1):
+                got = pair.count_arr_detail(arr, 64, [entry])[0]
+                want = flat.count_arr_detail(arr, 64, [entry])[0]
+                assert (got.total, got.exit_state) == \
+                    (want.total, want.exit_state), entry
+
+    def test_bundle_round_trip(self, wide):
+        compiled, arr = wide
+        kernel = HotCold2Kernel.from_compiled(compiled)
+        want = ScanContext(compiled).kernel("flat").count_total(arr)
+        with kernel.shared_export() as seg:
+            peer = SharedArrayBundle.attach(seg.meta())
+            attached = HotCold2Kernel.from_bundle(peer)
+            assert attached.table.hot2_flat.dtype == np.int32
+            assert attached.count_total(arr) == want
+            del attached
+            peer.close()
 
 
 class TestArtifactV5:

@@ -116,7 +116,7 @@ def test_tiny_ring_repairs_stay_exact(dictionary, tmp_path):
         want = execute(ctx, ScanRequest(data=data),
                        backend="serial").total_matches
     names = [n for n in kernel_names() if get_kernel(n).supports(compiled)]
-    assert len(names) == (2 if dictionary == "regex" else 4)
+    assert len(names) == (2 if dictionary == "regex" else 3)
     for name in names:
         kernel = get_kernel(name).from_compiled(compiled)
         with ShardedScanner(kernel, workers=2, min_shard_bytes=0,

@@ -168,7 +168,7 @@ def _same_ledgers(got, want):
 
 
 @pytest.mark.parametrize("dictionary", [1, 4, "regex"])
-@pytest.mark.parametrize("name", ["flat", "fused", "hotcold", "hotcold2"])
+@pytest.mark.parametrize("name", ["flat", "fused", "hotcold2"])
 def test_kernel_bundle_round_trip(name, dictionary):
     compiled = _compiled(dictionary)
     cls = get_kernel(name)

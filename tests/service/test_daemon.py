@@ -1,6 +1,8 @@
 """End-to-end daemon tests: protocol verbs, admission control,
 graceful drain, and hot reloads under concurrent scan load."""
 
+import asyncio
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -241,6 +243,21 @@ class TestShutdown:
         handle = ServiceThread(ScanService(["virus"])).start()
         handle.stop()
         handle.stop()
+
+
+class TestStartFailure:
+    def test_taken_port_releases_the_pool(self):
+        # The autouse leak fixture then checks that no forked worker,
+        # shared-memory segment or repro-* thread survived the failure.
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            config = ServiceConfig(host="127.0.0.1",
+                                   port=taken.getsockname()[1],
+                                   pool_workers=2)
+            service = ScanService(["virus"], config=config)
+            with pytest.raises(OSError):
+                asyncio.run(service.start())
 
 
 class TestConcurrentReloads:
