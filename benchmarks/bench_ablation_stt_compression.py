@@ -9,12 +9,13 @@ tile capacity each representation buys.
 
 Two compressed representations are measured.  :class:`CompressedSTT` is
 the faithful D2FA-style chain ablation (input-dependent hops — the
-paper's reason to refuse it).  :class:`ColdRowStore` inside the
-hot/cold table is the encoder that *ships* with the union kernel's
-base table: cold rows compress against one shared default.  The budget
-sweep below measures that table's footprint next to the hit rate of
-the union kernel (``hotcold2``) built on it at the same budget, with
-counts asserted identical to the dense reference at every budget.
+paper's reason to refuse it).  :class:`ColdRowStore` is the encoder
+that *ships*: v5 artifacts and the compiled shared-memory bundle carry
+the union automaton's rows as exceptions against one shared default
+row, densified on load.  What the union kernel (``hotcold2``) scans is
+its pair table; the budget sweep below reports that table's footprint
+and pair-hot set next to the hit rate it reaches, with counts asserted
+identical to the dense reference at every budget.
 """
 
 import numpy as np
@@ -22,8 +23,9 @@ import pytest
 
 from repro.analysis import ascii_table
 from repro.core.compiled import compile_dictionary
-from repro.core.compressed import CompressedSTT
+from repro.core.compressed import ColdRowStore, CompressedSTT
 from repro.core.scan import HOTCOLD_LANES_TARGET, count_arr
+from repro.core.scan.bundle import bundle_from_compiled
 from repro.core.planner import plan_tile
 from repro.dfa import AhoCorasick
 from repro.dfa.alphabet import identity_fold
@@ -103,22 +105,25 @@ def test_dense_per_byte_cost_is_flat_by_construction(cases):
         comp.average_hops(hostile) == 0
 
 
-# -- the shipping encoder: ColdRowStore inside the hot/cold table ---------
+# -- what ships: the pair table and the union-row CSR ------------------------
 
-#: Hot-partition budgets for the sweep — from starved (almost every
-#: state cold) through the production default's neighborhood, up to
-#: one that holds the whole pair table of the 800-state dictionary
-#: (802 rows × 32² symbols × 2 bytes).
+#: Pair budgets for the sweep — from starved (a handful of pair rows)
+#: through the production default's neighborhood, up to one that holds
+#: the whole pair table of the 800-state dictionary (802 rows × 32²
+#: symbols × 2 bytes).
 BUDGETS = (8 * 1024, 32 * 1024, 256 * 1024, 2048 * 1024)
 
 
 @pytest.fixture(scope="module")
 def shipping():
-    """Compiled dictionaries plus a planted corpus per operating point."""
+    """Partitioned dictionaries (so the union rows ship as CSR) plus a
+    planted corpus per operating point."""
     out = []
     for states in (200, 800):
         patterns = signatures_for_states(states, seed=90 + states)
-        compiled = compile_dictionary(patterns, fold=identity_fold(32))
+        compiled = compile_dictionary(patterns, fold=identity_fold(32),
+                                      max_states=states // 2)
+        assert compiled.num_slices > 1
         payload = bytes(plant_matches(random_payload(200_000,
                                                      seed=94 + states),
                                       patterns, 80, seed=95 + states))
@@ -130,41 +135,65 @@ def shipping():
     return out
 
 
-def test_cold_row_budget_sweep_report(shipping, report):
-    """Sweep the hot budget through the *shipping* encoder and assert
-    every point counts bit-identically to the dense fused reference."""
+def _shipped_union_rows(compiled) -> ColdRowStore:
+    """The union-row CSR exactly as the compiled bundle carries it."""
+    with bundle_from_compiled(compiled) as seg:
+        return ColdRowStore(seg["union_csr_keys"].copy(),
+                            seg["union_csr_vals"].copy(),
+                            seg["union_csr_default"].copy(),
+                            seg.scalar("union_rows"))
+
+
+def test_pair_table_budget_sweep_report(shipping, report):
+    """Sweep the pair budget and assert every point counts
+    bit-identically to the dense fused reference; report the union-row
+    CSR that ships beside the table."""
     rows = []
+    csr_rows = []
     for states, compiled, arr, dense_total in shipping:
         for budget in BUDGETS:
-            table = compiled.hot_cold_table(budget_bytes=budget)
+            table = compiled.hot_cold2_table(budget_bytes=budget)
             scanner = compiled.hot_cold2_scanner(budget_bytes=budget)
             total = int(count_arr(scanner, arr, 256, scanner.start,
                                   weights=scanner.weights,
                                   lanes_target=HOTCOLD_LANES_TARGET)[0])
             assert total == dense_total, \
-                f"hot/cold diverged at {states} states, " \
+                f"pair scan diverged at {states} states, " \
                 f"budget {budget}: {total} != {dense_total}"
             rows.append([
                 table.num_states,
                 f"{budget // 1024}K",
-                f"{table.num_hot}/{table.num_states}",
+                f"{table.num_hot2}/{table.num_states}",
                 round(compiled.fused_table_bytes / 1024, 1),
                 round(table.table_bytes / 1024, 1),
                 round(table.table_bytes / compiled.fused_table_bytes, 3),
-                table.cold.stored_transitions,
-                f"{scanner.num_hot2}/{table.num_states}",
                 round(scanner.hot_hit_rate, 4),
             ])
+        union = compiled.union_dfa()
+        csr = _shipped_union_rows(compiled)
+        dense_bytes = union.num_states * union.alphabet_size * 4
+        csr_rows.append([
+            union.num_states, compiled.num_slices,
+            union.num_states * union.alphabet_size,
+            csr.stored_transitions,
+            round(dense_bytes / 1024, 1), round(csr.nbytes / 1024, 1),
+            round(csr.nbytes / dense_bytes, 3),
+        ])
     text = ascii_table(
-        ["states", "budget", "hot set", "dense KB", "hc KB", "ratio",
-         "cold edges", "hot2 set", "hot2 hit"],
-        rows, title="Shipping encoder - hot/cold split + ColdRowStore "
-                    "default-transition cold rows (counts == dense)")
+        ["states", "budget", "hot2 set", "dense KB", "pair KB", "ratio",
+         "hot2 hit"],
+        rows, title="Union kernel pair table (hotcold2) vs dense fused "
+                    "table (counts == dense)")
+    text += "\n\n" + ascii_table(
+        ["states", "slices", "dense cells", "stored edges", "dense KB",
+         "CSR KB", "ratio"],
+        csr_rows, title="Union rows as shipped - ColdRowStore "
+                        "shared-default CSR (v5 artifact, compiled bundle)")
     report("ablation_cold_rows", text)
 
 
-def test_cold_row_hit_rate_grows_with_budget(shipping):
-    """Hottest-first renumbering means a bigger hot budget can only add
+def test_pair_hit_rate_grows_with_budget(shipping):
+    """Hottest-first renumbering means a bigger budget can only add
     states to the pair-hot set — the observed hit rate must follow."""
     for states, compiled, arr, _ in shipping:
         hits = []
@@ -181,21 +210,12 @@ def test_cold_row_hit_rate_grows_with_budget(shipping):
 
 
 def test_cold_rows_round_trip_the_dense_table(shipping):
-    """Every (cold state, symbol) answered by the ColdRowStore must
-    equal the dense union-automaton transition, encoded or defaulted."""
-    _, compiled, _, _ = shipping[0]
-    table = compiled.hot_cold_table(budget_bytes=BUDGETS[0])
-    union = compiled.union_dfa()
-    dense = np.asarray(union.transitions, dtype=np.int64)
-    final = np.asarray(union.final_mask, dtype=np.int64)
-    w = table.symbol_width
-    for cold_id, state in enumerate(table.cold_states[:64]):
-        got = table.cold.lookup(np.full(w, cold_id, dtype=np.int64),
-                                np.arange(w, dtype=np.int64))
-        succ = dense[int(state)]
-        expect = table.entry_cells[succ] + final[succ]
-        assert np.array_equal(got, expect), \
-            f"cold row {cold_id} (state {int(state)}) diverged"
+    """The shipped union-row CSR densifies back to the union
+    automaton's transition matrix, cell for cell."""
+    for _, compiled, _, _ in shipping:
+        csr = _shipped_union_rows(compiled)
+        assert np.array_equal(csr.dense_rows(),
+                              compiled.union_dfa().transitions)
 
 
 def test_benchmark_compressed_scan(cases, benchmark):

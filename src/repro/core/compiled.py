@@ -49,8 +49,7 @@ from ..dfa.partition import PartitionedDictionary, partition_patterns
 from .compressed import ColdRowStore
 from .scan import (HOT_BUDGET_BYTES, FlatScanner, FusedScanner,
                    FusedTable, HotCold2Scanner, HotCold2Table,
-                   HotColdFusedTable, build_flat_table,
-                   build_hot_cold2_table, build_hot_cold_table,
+                   build_flat_table, build_hot_cold2_table,
                    build_weight_table, fuse_tables, pair_symbol_table,
                    project_states, visit_order)
 from .scan.hotcold2 import rank_dtype
@@ -77,12 +76,12 @@ __all__ = [
 #: :func:`repro.core.scan.fuse_tables`), so a warm service start pays
 #: neither automaton builds *nor* table stacking.
 #:
-#: v4: exact-mode artifacts additionally persist the hot/cold layout of
-#: the union automaton — its dense table (when it is not simply slice
+#: v4: exact-mode artifacts additionally persist the layout of the
+#: union automaton — its dense table (when it is not simply slice
 #: 0's), the :func:`~repro.core.scan.visit_order` ranking and the
-#: union→slice state maps — so a warm start derives a
-#: :class:`~repro.core.scan.HotColdFusedTable` at any hot-budget
-#: without an Aho–Corasick build or a profiling pass.
+#: union→slice state maps — so a warm start derives the union kernel's
+#: table at any hot budget without an Aho–Corasick build or a
+#: profiling pass.
 #:
 #: v5: exact-mode artifacts add the pair-symbol layout for two-byte
 #: stride scanning (the composed ``foldpair`` gather table), and the
@@ -116,7 +115,7 @@ class CompileError(Exception):
 
 
 def hot_budget_bytes() -> int:
-    """Sizing policy for the hot partition of a hot/cold table.
+    """Sizing policy for the pair rows of the union kernel's table.
 
     ``REPRO_HOT_BUDGET_KB`` overrides the default
     (:data:`~repro.core.scan.HOT_BUDGET_BYTES`, sized for L2
@@ -205,10 +204,7 @@ class CompiledDictionary:
     _fused_scanner: Optional[FusedScanner] = field(default=None, repr=False)
     _union: Optional[DFA] = field(default=None, repr=False)
     _union_order: Optional[np.ndarray] = field(default=None, repr=False)
-    _union_mass: Optional[np.ndarray] = field(default=None, repr=False)
     _slice_maps: Optional[np.ndarray] = field(default=None, repr=False)
-    _hotcold: Optional[HotColdFusedTable] = field(default=None, repr=False)
-    _hotcold_budget: Optional[int] = field(default=None, repr=False)
     _hotcold2: Optional[HotCold2Table] = field(default=None, repr=False)
     _hotcold2_budget: Optional[int] = field(default=None, repr=False)
     _hotcold2_scanner: Optional[HotCold2Scanner] = \
@@ -351,7 +347,7 @@ class CompiledDictionary:
         what keeps per-slice counts exact with one union-table pass."""
         union = self.union_dfa()
         if self._union_order is None:
-            self._union_order, self._union_mass = visit_order(
+            self._union_order = visit_order(
                 union.transitions, union.start, self.fold.np_table)
         if self._slice_maps is None:
             if self.num_slices == 1:
@@ -363,34 +359,6 @@ class CompiledDictionary:
                                    d.transitions, d.start)
                     for d in self.dfas])
         return self._union_order, self._slice_maps
-
-    def hot_cold_table(self, budget_bytes: Optional[int] = None
-                       ) -> HotColdFusedTable:
-        """The union kernel's base table: hot/cold split of the
-        union automaton under ``budget_bytes`` (default: the
-        :func:`hot_budget_bytes` policy).  Cached per budget."""
-        if not self.supports_hot_cold:
-            raise CompileError(
-                "hot/cold tables require an exact-mode dictionary")
-        budget = hot_budget_bytes() if budget_bytes is None \
-            else int(budget_bytes)
-        if self._hotcold is None or self._hotcold_budget != budget:
-            union = self.union_dfa()
-            order, maps = self.hot_cold_layout()
-            sw = np.stack([_per_state_weights(d)[maps[i]]
-                           for i, d in enumerate(self.dfas)])
-            sf = np.stack([
-                np.asarray(d.final_mask, dtype=np.int64)[maps[i]]
-                for i, d in enumerate(self.dfas)])
-            self._hotcold = build_hot_cold_table(
-                union.transitions, union.final_mask, union.start,
-                self.fold.np_table,
-                state_weights=_per_state_weights(union),
-                budget_bytes=budget, order=order, mass=self._union_mass,
-                slice_maps=maps, slice_state_weights=sw,
-                slice_state_flags=sf)
-            self._hotcold_budget = budget
-        return self._hotcold
 
     # -- two-byte stride (pair) tables ----------------------------------------------
 
@@ -420,22 +388,30 @@ class CompiledDictionary:
 
     def hot_cold2_table(self, budget_bytes: Optional[int] = None
                         ) -> HotCold2Table:
-        """The two-byte stride execution table: the folded alphabet
-        squared over the hottest union states under ``budget_bytes``
-        (default: the :func:`hot_budget_bytes` policy), layered on
-        :meth:`hot_cold_table`.  Cached per budget."""
+        """The union kernel's only table: the folded alphabet squared
+        over the hottest union states under ``budget_bytes`` (default:
+        the :func:`hot_budget_bytes` policy), built from
+        :meth:`union_dfa` and :meth:`hot_cold_layout`.  Cached per
+        budget."""
         if not self.supports_hot_cold:
             raise CompileError(
                 "pair tables require an exact-mode dictionary")
         budget = hot_budget_bytes() if budget_bytes is None \
             else int(budget_bytes)
         if self._hotcold2 is None or self._hotcold2_budget != budget:
-            base = self.hot_cold_table(budget)
             union = self.union_dfa()
+            order, maps = self.hot_cold_layout()
             self._hotcold2 = build_hot_cold2_table(
-                union.transitions, union.final_mask, base,
-                budget_bytes=budget, mass=self._union_mass,
-                foldpair=self.foldpair_table())
+                union.transitions, union.final_mask, union.start,
+                self.fold.np_table, self.foldpair_table(), order=order,
+                state_weights=_per_state_weights(union), slice_maps=maps,
+                slice_state_weights=np.stack([
+                    _per_state_weights(d)[maps[i]]
+                    for i, d in enumerate(self.dfas)]),
+                slice_state_flags=np.stack([
+                    np.asarray(d.final_mask)[maps[i]]
+                    for i, d in enumerate(self.dfas)]),
+                budget_bytes=budget)
             self._hotcold2_budget = budget
             self._hotcold2_scanner = None
         return self._hotcold2
@@ -698,18 +674,15 @@ class ArtifactCache:
             arrays["fused_weights"] = fused.weights
             arrays["fused_cell_base"] = fused.cell_base
         if not compiled.regex:
-            # v4: the hot/cold layout of the union automaton.  The
-            # HotColdFusedTable itself stays derived (it depends on the
-            # runtime hot budget); what is expensive and deterministic —
+            # v4: the layout of the union automaton.  The pair table
+            # itself stays derived (it depends on the runtime hot
+            # budget); what is expensive and deterministic —
             # the union build, the visit profiling and the union→slice
             # projections — is what gets persisted.
             order, maps = compiled.hot_cold_layout()
             arrays["hotcold_order"] = np.asarray(order, dtype=np.int64)
             arrays["hotcold_slice_maps"] = np.asarray(maps,
                                                      dtype=np.int64)
-            if compiled._union_mass is not None:
-                arrays["hotcold_mass"] = np.asarray(
-                    compiled._union_mass, dtype=np.float64)
             # v5: the composed pair-symbol gather table, so a warm
             # start builds the two-byte stride path with zero fold
             # composition passes.
@@ -860,14 +833,10 @@ class ArtifactCache:
                 if pair_foldpair.shape != (65536,):
                     raise ValueError("pair-symbol table shape mismatch")
             union_order = None
-            union_mass = None
             slice_maps = None
             if "hotcold_order" in data.files:
                 union_order = np.ascontiguousarray(data["hotcold_order"],
                                                    dtype=np.int64)
-                if "hotcold_mass" in data.files:
-                    union_mass = np.ascontiguousarray(
-                        data["hotcold_mass"], dtype=np.float64)
                 slice_maps = np.ascontiguousarray(
                     data["hotcold_slice_maps"], dtype=np.int64)
                 union_states = union.num_states if union is not None \
@@ -890,8 +859,7 @@ class ArtifactCache:
             groups=tuple(groups), dfas=tuple(dfas),
             fingerprint=fingerprint, partition=partition, _fused=fused,
             _union=union, _union_order=union_order,
-            _union_mass=union_mass, _slice_maps=slice_maps,
-            _pair_foldpair=pair_foldpair)
+            _slice_maps=slice_maps, _pair_foldpair=pair_foldpair)
 
     def __repr__(self) -> str:
         return f"ArtifactCache({str(self.directory)!r})"

@@ -17,12 +17,12 @@ Two representations share the sparse (CSR-style) machinery here:
 
 * :class:`CompressedSTT` — per-state default *chains* (AC failure links),
   the faithful D2FA-style ablation with input-dependent hop counts;
-* :class:`ColdRowStore` — the depth-1 variant that actually ships inside
-  the hot/cold fused scanner (:class:`repro.core.scan.HotColdFusedTable`):
-  every cold row compresses against one shared default row, so a cold
-  lookup is exactly one sorted probe, never a chain walk.  That bounds
-  the slow path's per-byte cost and keeps the §1 immunity argument —
-  the escape costs more than a hot gather, but a constant amount more.
+* :class:`ColdRowStore` — the depth-1 variant that ships as the union
+  automaton's row codec: v5 artifacts and the compiled shared-memory
+  bundle store the union transition matrix as its exceptions against
+  one shared default row (the start state's), and loaders densify it
+  with :meth:`ColdRowStore.dense_rows`.  No scan walks it: the union
+  kernel gathers over dense rank-space rows.
 """
 
 from __future__ import annotations
@@ -54,12 +54,13 @@ def csr_encode(rows: np.ndarray,
 
 
 class ColdRowStore:
-    """Shared-default compressed rows with one-probe vectorized lookup.
+    """Shared-default compressed rows: the union automaton's row codec.
 
     Row ``j`` is stored as its exceptions against a single shared
-    ``default_row``; a miss in the sorted key array answers from the
-    default.  Built from (and serialized as) three flat numpy arrays so
-    it can live in an artifact file or a shared-memory segment verbatim.
+    ``default_row``; a cell absent from the sorted key array equals the
+    default's.  Built from (and serialized as) three flat numpy arrays
+    so it can live in an artifact file or a shared-memory segment
+    verbatim, and densified with :meth:`dense_rows` on load.
     """
 
     def __init__(self, keys: np.ndarray, vals: np.ndarray,
@@ -81,21 +82,6 @@ class ColdRowStore:
         rows = np.asarray(rows)
         keys, vals = csr_encode(rows, default_row)
         return cls(keys, vals, default_row, rows.shape[0])
-
-    def lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Vectorized ``(row, column) → cell`` with default fallback."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        out = self.default_row[cols]
-        if self.keys.size:
-            q = rows * self.width + cols
-            pos = np.minimum(np.searchsorted(self.keys, q),
-                             self.keys.size - 1)
-            np.copyto(out, self.vals[pos], where=self.keys[pos] == q)
-        return out
-
-    def lookup_one(self, row: int, col: int) -> int:
-        return int(self.lookup(np.asarray([row]), np.asarray([col]))[0])
 
     def dense_rows(self) -> np.ndarray:
         """Reconstruct the full ``(num_rows, width)`` matrix — the

@@ -6,8 +6,9 @@ driver, and the staged-pipeline machinery:
 * :mod:`.driver` — speculative chunked block scan, exactness ledger,
   and the reference :class:`VectorDFAEngine`;
 * :mod:`.fused` — stacked multi-DFA table and grid scanner;
-* :mod:`.hotcold` — hot/cold split of the union automaton;
-* :mod:`.hotcold2` — the union kernel's pair-symbol scan over it;
+* :mod:`.hotcold` — the union automaton's visit order and slice
+  projections;
+* :mod:`.hotcold2` — the union kernel's pair-symbol table and scan;
 * :mod:`.bundle` — :class:`SharedArrayBundle`, the one shared-memory
   export/attach path every kernel uses;
 * :mod:`.kernels` — the :class:`ScanKernel` protocol and registry;
@@ -42,12 +43,7 @@ from .driver import (
 )
 from .flat import FlatScanner, build_flat_table, build_weight_table
 from .fused import FusedScanner, FusedTable, fuse_tables
-from .hotcold import (
-    HotColdFusedTable,
-    build_hot_cold_table,
-    project_states,
-    visit_order,
-)
+from .hotcold import project_states, visit_order
 from .hotcold2 import (
     HotCold2Scanner,
     HotCold2Table,
@@ -77,13 +73,11 @@ __all__ = [
     "FlatScanner",
     "FusedTable",
     "FusedScanner",
-    "HotColdFusedTable",
     "HotCold2Table",
     "HotCold2Scanner",
     "ScanDetail",
     "build_flat_table",
     "build_weight_table",
-    "build_hot_cold_table",
     "build_hot_cold2_table",
     "pair_symbol_table",
     "fuse_tables",

@@ -55,11 +55,11 @@ FUSED_STRIP_ELEMS = 64 * 1024
 #: its relative cost stops being negligible.
 SPECULATION_WARMUP = 32
 
-#: Default byte budget for the hot partition of a
-#: :class:`HotColdFusedTable` — sized for comfortable L2 residency
-#: (the host analogue of the paper's 256 KB local store ceiling;
-#: §4 sizes dictionaries so the *whole* STT fits local store, the
-#: hot/cold split only demands it of the frequently-visited part).
+#: Default byte budget for the pair rows of a
+#: :class:`~repro.core.scan.HotCold2Table` — sized for comfortable L2
+#: residency (the host analogue of the paper's 256 KB local store
+#: ceiling; §4 sizes dictionaries so the *whole* STT fits local store,
+#: the pair table only demands it of the frequently-visited part).
 HOT_BUDGET_BYTES = 512 * 1024
 
 #: Lane budget of the hot/cold union scan.  Unlike the fused grid there

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..compressed import ColdRowStore
 from .fused import FusedTable
-from .hotcold import HotColdFusedTable
 from .hotcold2 import HotCold2Table
 
 __all__ = [
@@ -213,30 +212,6 @@ class SharedArrayBundle:
 
 # -- per-kind codecs ----------------------------------------------------------------
 
-def _hotcold_arrays(table: HotColdFusedTable):
-    arrays = [("hot_flat", table.hot_flat), ("weights", table.weights),
-              ("keys", table.cold.keys), ("vals", table.cold.vals),
-              ("default_row", table.cold.default_row),
-              ("fold_table", table.fold_table),
-              ("hot_states", table.hot_states),
-              ("cold_states", table.cold_states),
-              ("entry_cells", table.entry_cells)]
-    if table.slice_maps is not None:
-        arrays += [("slice_maps", table.slice_maps),
-                   ("slice_weights", table.slice_weights),
-                   ("slice_flags", table.slice_flags)]
-    return arrays
-
-
-def _hotcold_scalars(table: HotColdFusedTable) -> Dict:
-    return {"num_hot": int(table.num_hot),
-            "num_cold": int(table.num_cold),
-            "num_states": int(table.num_states),
-            "symbol_width": int(table.symbol_width),
-            "num_dfas": int(table.num_dfas),
-            "start": int(table.start)}
-
-
 def bundle_from_table(table, scalars: Optional[Dict] = None
                       ) -> SharedArrayBundle:
     """Place a kernel table in shared memory, picking the codec from
@@ -253,45 +228,15 @@ def bundle_from_table(table, scalars: Optional[Dict] = None
                 "symbol_width": int(table.symbol_width), **extra}
         return SharedArrayBundle("fused", arrays, meta)
     if isinstance(table, HotCold2Table):
-        arrays = _hotcold_arrays(table.base) + [
-            ("hot2_flat", table.hot2_flat), ("wflat", table.wflat),
-            ("fflat", table.fflat), ("foldpair", table.foldpair),
-            ("utr", table.utr), ("order", table.order),
-            ("rank_of", table.rank_of), ("wstate", table.wstate),
-            ("fstate", table.fstate)]
-        meta = {**_hotcold_scalars(table.base),
+        arrays = [(name, getattr(table, name))
+                  for name in HotCold2Table.ARRAYS]
+        meta = {"num_dfas": int(table.num_dfas),
+                "symbol_width": int(table.symbol_width),
+                "start": int(table.start),
                 "pair_budget_bytes": int(table.pair_budget_bytes),
-                "hot2_mass": (None if table.hot2_mass is None
-                              else float(table.hot2_mass)),
                 **extra}
         return SharedArrayBundle("hotcold2", arrays, meta)
     raise BundleError(f"no shared-memory codec for {type(table).__name__}")
-
-
-def _hotcold_from(bundle: SharedArrayBundle) -> HotColdFusedTable:
-    cold = ColdRowStore(bundle["keys"], bundle["vals"],
-                        bundle["default_row"],
-                        bundle.scalar("num_cold"))
-    ndfa = bundle.scalar("num_dfas", 1)
-    slice_maps = bundle.get("slice_maps")
-    if slice_maps is not None:
-        slice_maps = slice_maps.reshape(ndfa, -1)
-    slice_weights = bundle.get("slice_weights")
-    if slice_weights is not None:
-        slice_weights = slice_weights.reshape(ndfa, -1)
-    slice_flags = bundle.get("slice_flags")
-    if slice_flags is not None:
-        slice_flags = slice_flags.reshape(ndfa, -1)
-    return HotColdFusedTable(
-        hot_flat=bundle["hot_flat"], weights=bundle["weights"], cold=cold,
-        fold_table=bundle["fold_table"], hot_states=bundle["hot_states"],
-        cold_states=bundle["cold_states"],
-        entry_cells=bundle["entry_cells"],
-        start=bundle.scalar("start"),
-        num_states=bundle.scalar("num_states"),
-        symbol_width=bundle.scalar("symbol_width"),
-        slice_maps=slice_maps, slice_weights=slice_weights,
-        slice_flags=slice_flags)
 
 
 def table_from_bundle(bundle: SharedArrayBundle):
@@ -305,14 +250,14 @@ def table_from_bundle(bundle: SharedArrayBundle):
                           num_states=bundle["num_states"],
                           symbol_width=bundle.scalar("symbol_width"))
     if kind == "hotcold2":
+        ndfa = bundle.scalar("num_dfas")
+        arrays = {name: bundle[name] for name in HotCold2Table.ARRAYS}
+        for name in ("slice_maps", "slice_weights", "slice_flags"):
+            arrays[name] = arrays[name].reshape(ndfa, -1)
         return HotCold2Table(
-            base=_hotcold_from(bundle), hot2_flat=bundle["hot2_flat"],
-            wflat=bundle["wflat"], fflat=bundle["fflat"],
-            foldpair=bundle["foldpair"], utr=bundle["utr"],
-            order=bundle["order"], rank_of=bundle["rank_of"],
-            wstate=bundle["wstate"], fstate=bundle["fstate"],
-            pair_budget_bytes=bundle.scalar("pair_budget_bytes"),
-            hot2_mass=bundle.scalar("hot2_mass"))
+            **arrays, start=bundle.scalar("start"),
+            symbol_width=bundle.scalar("symbol_width"),
+            pair_budget_bytes=bundle.scalar("pair_budget_bytes"))
     raise BundleError(f"no table codec for bundle kind {kind!r}")
 
 
@@ -369,9 +314,6 @@ def bundle_from_compiled(compiled) -> SharedArrayBundle:
                                                    dtype=np.int64)))
         arrays.append(("hotcold_slice_maps", np.asarray(maps,
                                                         dtype=np.int64)))
-        if compiled._union_mass is not None:
-            arrays.append(("hotcold_mass", np.asarray(
-                compiled._union_mass, dtype=np.float64)))
         arrays.append(("hotcold2_foldpair", compiled.foldpair_table()))
         if compiled.num_slices > 1:
             union = compiled.union_dfa()
@@ -473,12 +415,9 @@ def compiled_from_bundle(bundle: SharedArrayBundle):
                     start=int(bundle.scalar("union_start")),
                     outputs=uout)
     union_order = None
-    union_mass = None
     slice_maps = None
     if "hotcold_order" in bundle:
         union_order = bundle["hotcold_order"]
-        if "hotcold_mass" in bundle:
-            union_mass = bundle["hotcold_mass"]
         slice_maps = bundle["hotcold_slice_maps"].reshape(num_slices, -1)
     pair_foldpair = None
     if "hotcold2_foldpair" in bundle:
@@ -497,5 +436,4 @@ def compiled_from_bundle(bundle: SharedArrayBundle):
         groups=tuple(groups), dfas=tuple(dfas),
         fingerprint=bundle.scalar("fingerprint"), partition=partition,
         _fused=fused, _union=union, _union_order=union_order,
-        _union_mass=union_mass, _slice_maps=slice_maps,
-        _pair_foldpair=pair_foldpair)
+        _slice_maps=slice_maps, _pair_foldpair=pair_foldpair)

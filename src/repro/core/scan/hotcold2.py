@@ -1,7 +1,9 @@
-"""Pair-symbol (two-byte stride) extension of the hot/cold scan.
+"""The union kernel: pair-symbol (two-byte stride) scan of the union
+automaton.
 
-Squares the folded alphabet so the hot loop consumes an input *pair*
-per gather; escapes replay bytes through the one-byte union table.
+Squares the folded alphabet on the hottest union states so the hot
+loop consumes an input *pair* per gather; escapes replay bytes through
+the rank-space one-byte matrix.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from ...dfa.automaton import DFAError
 from .base import (HOT_BUDGET_BYTES, MIN_PIECE, SPECULATION_WARMUP,
                    _ragged_segments, hotcold_lanes_target,
                    hotcold_strip_elems)
-from .hotcold import HotColdFusedTable
 
 
 @dataclass
 class HotCold2Table:
-    """Pair-symbol (two-byte stride) extension of a hot/cold table.
+    """Pair-symbol (two-byte stride) table of the union automaton.
 
     The §4 inner loop pays one gather per input *byte*; squaring the
     folded alphabet on the hottest states halves that: the ``H2``
@@ -28,18 +29,20 @@ class HotCold2Table:
     by a *pair* of folded symbols, so the lockstep loop consumes two
     bytes per gather — the paper's unrolling discussion taken one level
     up, and the Hyperflex observation that a compacted hot set makes
-    the squared table affordable.
+    the squared table affordable.  Here the squared rows *are* the hot
+    set: nothing else is budgeted.
 
-    States are renumbered by *hotness rank* (the base table's
-    hottest-first visit order), and a pair cell simply stores the
-    destination's rank — as an ``int16`` while the state count allows
-    (:func:`rank_dtype`), so a full pair row costs ``2·width²`` bytes, a
-    quarter of the flag-doubled ``int32`` encoding; larger automata
-    widen to ``int32`` ranks and half as many pair-hot rows.  Whether a
-    destination is pair-hot is one compare (``rank < H2``).  The gather
-    index is ``rank·width² + psym``; a lane whose rank is not pair-hot overshoots the table and is clamped
-    by the gather's clip mode onto the final *parking cell* (value
-    ``num_states``), where it stays for the rest of the strip.
+    States are renumbered by *hotness rank* (the hottest-first
+    :func:`~repro.core.scan.visit_order`), and a pair cell simply
+    stores the destination's rank — as an ``int16`` while the state
+    count allows (:func:`rank_dtype`), so a full pair row costs
+    ``2·width²`` bytes; larger automata widen to ``int32`` ranks and
+    half as many pair-hot rows.  Whether a destination is pair-hot is
+    one compare (``rank < H2``).  The gather index is
+    ``rank·width² + psym``; a lane whose rank is not pair-hot
+    overshoots the table and is clamped by the gather's clip mode onto
+    the final *parking cell* (value ``num_states``), where it stays for
+    the rest of the strip.
 
     Final flags and multiplicities live in two aux tables addressed by
     the *gather index* rather than the result — so they see the pair's
@@ -52,24 +55,35 @@ class HotCold2Table:
 
     Both are zero on the parking cell, so parked lanes accumulate
     nothing and the strip replay owes exactly the post-escape bytes.
+
+    Per-slice exactness: ``slice_maps[d]`` projects every union state
+    onto slice ``d`` (:func:`~repro.core.scan.project_states`), and
+    ``slice_weights``/``slice_flags`` hold each slice's multiplicity
+    and final flag by *rank*, with a zero parking column, so one union
+    pass accumulates every slice at once.
     """
 
-    base: HotColdFusedTable
     hot2_flat: np.ndarray        # rank dtype (H2·W² + 1,): ranks + park
     wflat: np.ndarray            # uint8/uint16/int32, same indexing
     fflat: np.ndarray            # uint8, same indexing (2 bits)
     foldpair: np.ndarray         # uint16 (65536,): psym per LE byte pair
+    fold_table: np.ndarray       # int32 (256,): byte → folded symbol
     utr: np.ndarray              # rank dtype (NS·W,): rank transitions
     order: np.ndarray            # int64 (NS,): rank → union state id
     rank_of: np.ndarray          # int64 (NS,): union state id → rank
     wstate: np.ndarray           # int32 (NS + 1,): multiplicity by rank
     fstate: np.ndarray           # int32 (NS + 1,): final flag by rank
+    slice_maps: np.ndarray       # int32 (D, NS): union → slice state
+    slice_weights: np.ndarray    # int32 (D, NS + 1): by rank, park = 0
+    slice_flags: np.ndarray      # int32 (D, NS + 1): by rank, park = 0
+    start: int
+    symbol_width: int
     pair_budget_bytes: int
-    hot2_mass: Optional[float] = None   # predicted pair-hot visit share
 
-    @property
-    def symbol_width(self) -> int:
-        return self.base.symbol_width
+    #: Every array field, in bundle-manifest order.
+    ARRAYS = ("hot2_flat", "wflat", "fflat", "foldpair", "fold_table",
+              "utr", "order", "rank_of", "wstate", "fstate",
+              "slice_maps", "slice_weights", "slice_flags")
 
     @property
     def num_hot2(self) -> int:
@@ -77,34 +91,23 @@ class HotCold2Table:
         return (len(self.hot2_flat) - 1) // w2
 
     @property
-    def hot2_states(self) -> np.ndarray:
-        return self.order[:self.num_hot2]
-
-    @property
     def num_states(self) -> int:
-        return self.base.num_states
-
-    @property
-    def start(self) -> int:
-        return self.base.start
+        return len(self.order)
 
     @property
     def num_dfas(self) -> int:
-        return self.base.num_dfas
+        return len(self.slice_maps)
 
     @property
     def hot2_bytes(self) -> int:
         """Footprint of the pair transition rows (the budgeted part —
-        aux flag/weight tables ride along, like the base table's
-        weight layout)."""
+        the aux flag/weight tables ride along)."""
         return int(self.hot2_flat.nbytes)
 
     @property
     def table_bytes(self) -> int:
         """Total footprint of everything a pair scan can touch."""
-        return int(self.hot2_flat.nbytes + self.wflat.nbytes
-                   + self.fflat.nbytes + self.foldpair.nbytes
-                   + self.utr.nbytes + self.base.table_bytes)
+        return sum(int(getattr(self, name).nbytes) for name in self.ARRAYS)
 
     def scanner(self) -> "HotCold2Scanner":
         """A fresh interpreter over this table — the sanctioned route
@@ -135,41 +138,68 @@ def pair_symbol_table(fold_table: np.ndarray, width: int) -> np.ndarray:
 
 
 def build_hot_cold2_table(transitions: np.ndarray, final_mask: np.ndarray,
-                          base: HotColdFusedTable,
-                          budget_bytes: int = HOT_BUDGET_BYTES,
-                          mass: Optional[np.ndarray] = None,
-                          foldpair: Optional[np.ndarray] = None
+                          start: int, fold_table: np.ndarray,
+                          foldpair: np.ndarray, order: np.ndarray,
+                          state_weights: np.ndarray,
+                          slice_maps: np.ndarray,
+                          slice_state_weights: np.ndarray,
+                          slice_state_flags: np.ndarray,
+                          budget_bytes: int = HOT_BUDGET_BYTES
                           ) -> HotCold2Table:
-    """Square the folded alphabet on the hottest states of ``base``.
+    """Square the folded alphabet on the hottest union states.
 
-    ``transitions``/``final_mask`` are the same union-automaton arrays
-    ``base`` was built from (over the folded alphabet).  The pair-hot
-    set is the hottest prefix of the base table's visit order that fits
-    ``budget_bytes`` at ``width²`` ranks per row (2 or 4 bytes each, see
-    :func:`rank_dtype`) — the same budget discipline as the base table,
-    applied to the squared stride.
+    ``transitions``/``final_mask``/``start`` are the union automaton
+    over the *folded* alphabet; ``fold_table`` maps raw bytes onto it
+    and ``foldpair`` is its :func:`pair_symbol_table`.  ``order`` is
+    the :func:`~repro.core.scan.visit_order` ranking (possibly loaded
+    from an artifact).  The pair-hot set is the hottest prefix of that
+    order that fits ``budget_bytes`` at ``width²`` ranks per row (2 or
+    4 bytes each, see :func:`rank_dtype`).  ``state_weights`` is the
+    union multiplicity per state; ``slice_maps`` are the
+    :func:`~repro.core.scan.project_states` maps and
+    ``slice_state_weights``/``slice_state_flags`` each slice's
+    multiplicity and final flag per *union* state, shape ``(D, NS)``.
     """
     trans = np.asarray(transitions, dtype=np.int64)
     n, width = trans.shape
-    if n != base.num_states or width != base.symbol_width:
-        raise DFAError("pair table must be built from the same union "
-                       "automaton as its base hot/cold table")
+    fold = np.asarray(fold_table, dtype=np.int64)
+    if fold.shape != (256,):
+        raise DFAError("fold table must map all 256 byte values")
+    if int(fold.max()) >= width:
+        raise DFAError("fold table maps outside the DFA alphabet")
+    foldpair = np.ascontiguousarray(foldpair, dtype=np.uint16)
+    if foldpair.shape != (65536,):
+        raise DFAError("foldpair table must have 65536 entries")
+    order = np.asarray(order, dtype=np.int64)
+    if order.shape != (n,):
+        raise DFAError("visit order must rank every state")
+    if int(order[0]) != int(start):
+        order = np.concatenate(([int(start)], order[order != int(start)]))
+    slice_maps = np.ascontiguousarray(slice_maps, dtype=np.int32)
+    if slice_maps.ndim != 2 or slice_maps.shape[1] != n:
+        raise DFAError("slice maps must project every union state")
     rdt = rank_dtype(n)
     w2 = width * width
-    order = np.concatenate([base.hot_states,
-                            base.cold_states]).astype(np.int64)
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[order] = np.arange(n, dtype=np.int64)
     num_hot2 = max(1, min(n, int(budget_bytes) // (w2 * rdt.itemsize)))
+
+    def by_rank(per_state) -> np.ndarray:
+        """Per-state rows re-indexed by rank, plus a zero park column."""
+        per_state = np.asarray(per_state)
+        out = np.zeros(per_state.shape[:-1] + (n + 1,), dtype=np.int32)
+        out[..., :n] = per_state[..., order]
+        return out
+
+    wstate = by_rank(state_weights)
+    fstate = by_rank(np.asarray(final_mask) != 0)
 
     # Rank-space transition matrix: row r is the hotness-rank image of
     # union state order[r]'s row.
     tr_rank = rank_of[trans[order]]                  # (NS, W)
     utr = tr_rank.astype(rdt).ravel()
-    final = (np.asarray(final_mask) != 0)
-    f_rank = final[order].astype(np.int32)
-    slots = (base.entry_cells.astype(np.int64) >> 1)
-    w_rank = base.weights[slots[order]].astype(np.int64)
+    f_rank = fstate[:n]
+    w_rank = wstate[:n].astype(np.int64)
 
     mid = tr_rank[:num_hot2]                         # (H2, W)
     dest = tr_rank[mid]                              # (H2, W, W)
@@ -188,30 +218,13 @@ def build_hot_cold2_table(transitions: np.ndarray, final_mask: np.ndarray,
     wflat = np.zeros(num_hot2 * w2 + 1, dtype=wdtype)
     wflat[:-1] = wpair
 
-    if foldpair is None:
-        foldpair = pair_symbol_table(base.fold_table, width)
-    else:
-        foldpair = np.ascontiguousarray(foldpair, dtype=np.uint16)
-        if foldpair.shape != (65536,):
-            raise DFAError("foldpair table must have 65536 entries")
-
-    wstate = np.zeros(n + 1, dtype=np.int32)
-    wstate[:n] = w_rank
-    fstate = np.zeros(n + 1, dtype=np.int32)
-    fstate[:n] = f_rank
-
-    hot2_mass = None
-    if mass is not None:
-        mass = np.asarray(mass, dtype=np.float64)
-        total = float(mass.sum())
-        if total > 0:
-            hot2_mass = float(mass[order[:num_hot2]].sum()) / total
-
     return HotCold2Table(
-        base=base, hot2_flat=hot2_flat, wflat=wflat, fflat=fflat,
-        foldpair=foldpair, utr=utr, order=order, rank_of=rank_of,
-        wstate=wstate, fstate=fstate,
-        pair_budget_bytes=int(budget_bytes), hot2_mass=hot2_mass)
+        hot2_flat=hot2_flat, wflat=wflat, fflat=fflat, foldpair=foldpair,
+        fold_table=fold.astype(np.int32), utr=utr, order=order,
+        rank_of=rank_of, wstate=wstate, fstate=fstate,
+        slice_maps=slice_maps, slice_weights=by_rank(slice_state_weights),
+        slice_flags=by_rank(slice_state_flags), start=int(start),
+        symbol_width=width, pair_budget_bytes=int(budget_bytes))
 
 
 class _StagedLanes:
@@ -260,11 +273,10 @@ class HotCold2Scanner:
 
     def __init__(self, table: HotCold2Table) -> None:
         self.table = table
-        b = table.base
-        self.symbol_width = int(b.symbol_width)
-        self.alphabet_size = int(b.symbol_width)
-        self.start = int(b.start)
-        self.num_states = int(b.num_states)
+        self.symbol_width = int(table.symbol_width)
+        self.alphabet_size = int(table.symbol_width)
+        self.start = int(table.start)
+        self.num_states = int(table.num_states)
         self.num_hot2 = int(table.num_hot2)
         self._w = self.symbol_width
         self._w2 = self._w * self._w
@@ -283,9 +295,8 @@ class HotCold2Scanner:
         self.wstate = table.wstate
         self.fstate = table.fstate
         self.weights = table.wstate            # indexed by pointer >> 1
-        self.foldv = np.asarray(b.fold_table, dtype=np.int32)
+        self.foldv = np.asarray(table.fold_table, dtype=np.int32)
         self.foldw = (self.foldv * self._w).astype(np.int32)
-        self._rows_rank: dict = {}
         self.reset_stats()
 
     @property
@@ -326,25 +337,6 @@ class HotCold2Scanner:
         r = int(ptr) >> 1
         nr = int(self.utr[r * self._w + int(self.foldv[int(symbol)])])
         return nr * 2 + int(self.fstate[nr])
-
-    # -- rank-space slice projections --------------------------------------------
-
-    def _slice_rows(self, flags: bool) -> np.ndarray:
-        """Per-slice accumulation rows indexed by *rank* (park = 0)."""
-        key = bool(flags)
-        rows = self._rows_rank.get(key)
-        if rows is None:
-            t = self.table.base
-            if t.slice_maps is None:
-                raise DFAError(
-                    "hot/cold table was built without slice maps")
-            src = t.slice_flags if flags else t.slice_weights
-            slots = (t.entry_cells.astype(np.int64) >> 1)[self.order]
-            rows = np.zeros((len(src), self.num_states + 1),
-                            dtype=np.int64)
-            rows[:, :self.num_states] = src[:, slots]
-            self._rows_rank[key] = rows
-        return rows
 
     # -- staging -----------------------------------------------------------------
 
@@ -402,7 +394,8 @@ class HotCold2Scanner:
                           weight_rows: np.ndarray) -> np.ndarray:
         """:meth:`scan_lanes` accumulating every slice at once,
         D-invariantly (sparse scatter at union-final hits).
-        ``weight_rows`` are rank-indexed (see :meth:`_slice_rows`)."""
+        ``weight_rows`` are rank-indexed (the table's ``slice_weights``
+        or ``slice_flags``)."""
         return self._scan_span(staged, sel, int(t0), int(t1), ptrs, (),
                                (counts2d, weight_rows))
 
@@ -414,25 +407,11 @@ class HotCold2Scanner:
         """Scan position-major byte columns ``(length, lanes)`` at two
         bytes per gather, accumulating flag counts (``weights=None``)
         or multiplicities into ``counts``; any input length (an odd
-        tail takes one rank step)."""
-        staged = self._stage_posmajor(cols)
+        tail takes one rank step).  Transposes the window; the
+        big-block path stages lanes through :meth:`stage_lanes`."""
+        staged = self.stage_lanes(np.ascontiguousarray(cols.T))
         return self._scan_span(staged, None, 0, cols.shape[0], ptrs,
                                ((counts, weights),), None)
-
-    def scan_cols_slices(self, cols: np.ndarray, ptrs: np.ndarray,
-                         counts2d: np.ndarray,
-                         weight_rows: np.ndarray) -> np.ndarray:
-        """One pair-stride pass accumulating every slice's counts at
-        once.  ``weight_rows`` must be rank-indexed."""
-        staged = self._stage_posmajor(cols)
-        return self._scan_span(staged, None, 0, cols.shape[0], ptrs, (),
-                               (counts2d, weight_rows))
-
-    def _stage_posmajor(self, cols: np.ndarray) -> _StagedLanes:
-        """Stage position-major byte columns (transposes the small
-        window; the big-block path goes through :meth:`stage_lanes`)."""
-        mat = np.ascontiguousarray(cols.T)
-        return self.stage_lanes(mat)
 
     # -- core --------------------------------------------------------------------
 
@@ -638,13 +617,11 @@ class HotCold2Scanner:
                           weights: Optional[np.ndarray] = None
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """Exact per-slice ``(counts, exit_states)`` from one pair-
-        stride union pass; same contract as the base scanner's.  The
+        stride union pass; same contract as the fused scanner's.  The
         per-slice accumulation is D-invariant: one flag gather per
         strip plus a sparse scatter at union-final hits."""
-        t = self.table.base
-        if t.slice_maps is None:
-            raise DFAError("hot/cold table was built without slice maps")
-        ndfa = len(t.slice_maps)
+        t = self.table
+        ndfa = t.num_dfas
         start_imgs = t.slice_maps[:, self.start].astype(np.int64)
         if entry_states is not None:
             states = np.asarray(entry_states, dtype=np.int64)
@@ -655,7 +632,7 @@ class HotCold2Scanner:
                     "realizable in the union state space")
         if arr.size == 0:
             return np.zeros(ndfa, dtype=np.int64), start_imgs
-        rows = self._slice_rows(flags=weights is None)
+        rows = t.slice_flags if weights is None else t.slice_weights
         totals, exit_state = self._chunked_multi(arr, chunks, rows)
         return totals, t.slice_maps[:, exit_state].astype(np.int64)
 

@@ -395,7 +395,7 @@ class HotCold2Kernel(_ScannerKernel):
     """The union kernel: whole-dictionary scans over one union
     automaton whose hottest states are squared into a pair-symbol table
     (one gather per two input bytes, §4), per-slice results projected
-    through the base table's slice maps."""
+    through the table's slice maps."""
 
     name = "hotcold2"
 
@@ -406,14 +406,6 @@ class HotCold2Kernel(_ScannerKernel):
     @classmethod
     def from_compiled(cls, compiled) -> "HotCold2Kernel":
         return cls(compiled.hot_cold2_scanner())
-
-    @property
-    def _slice_maps(self) -> np.ndarray:
-        maps = self.table.base.slice_maps
-        if maps is None:
-            raise DFAError(
-                "hot/cold table was built without slice maps")
-        return maps
 
     @property
     def num_slices(self) -> int:
@@ -450,4 +442,4 @@ class HotCold2Kernel(_ScannerKernel):
         sc = self.scanner
         counts, finals = sc.run_streams(streams, weights=sc.weights)
         finals = np.asarray(finals, dtype=np.int64)
-        return counts, self._slice_maps[:, finals].astype(np.int64)
+        return counts, self.table.slice_maps[:, finals].astype(np.int64)

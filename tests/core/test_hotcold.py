@@ -1,9 +1,8 @@
-"""The hot/cold union path: the union automaton's hot/cold split and
-cold-row compression (the base table), and the union kernel over it —
-the slow-path escape, planner/backend selection, shared-memory
-transport and the v4 artifact roundtrip, every count AND exit state
-differentially locked against the per-DFA serial path and the naive
-reference."""
+"""The hot/cold union path: the pair table's hottest-first state order
+and hot budget, and the union kernel over it — the slow-path escape,
+planner/backend selection, shared-memory transport and the v4
+artifact roundtrip, every count AND exit state differentially locked
+against the per-DFA serial path and the naive reference."""
 
 import random
 
@@ -29,9 +28,8 @@ PATTERNS = [b"abab", b"ABABAB", b"BABA", b"@[", b"`{", b"attack",
             b"tac", b"backdoor", b"virus", b"worm", b"trojan",
             b"exploit", b"malware", b"rootkit", b"phish", b"botnet"]
 
-#: A budget this small forces num_hot == 1 (one hot row costs
-#: stride × 4 = 256 bytes) and num_hot2 == 1: the adversarial
-#: everything-cold layout.
+#: A budget this small forces num_hot2 == 1 (one pair row costs
+#: W² × 2 = 2 KB): the adversarial everything-cold layout.
 ALL_COLD_BUDGET = 16
 
 _COMPILED = {}
@@ -82,36 +80,43 @@ def per_dfa_reference(compiled, raw, chunks, weighted=False):
 
 
 class TestHotColdTable:
+    """The pair table's hot set: the hottest prefix of a permutation
+    of the union states, capped by the hot budget."""
+
     def test_partition_covers_every_state_once(self):
-        compiled = compiled_with_slices(4)
-        t = compiled.hot_cold_table()
-        both = np.concatenate([t.hot_states, t.cold_states])
+        t = compiled_with_slices(4).hot_cold2_table()
+        hot, rest = t.order[:t.num_hot2], t.order[t.num_hot2:]
+        both = np.concatenate([hot, rest])
         assert sorted(both.tolist()) == list(range(t.num_states))
-        assert t.num_hot + t.num_cold == t.num_states
+        assert np.array_equal(t.rank_of[t.order],
+                              np.arange(t.num_states))
 
     def test_start_state_is_always_hot(self):
         for budget in (ALL_COLD_BUDGET, 4096, 1 << 20):
-            t = compiled_with_slices(4).hot_cold_table(
+            t = compiled_with_slices(4).hot_cold2_table(
                 budget_bytes=budget)
-            assert int(t.hot_states[0]) == int(t.start)
+            assert int(t.order[0]) == int(t.start)
+            assert int(t.rank_of[t.start]) == 0 < t.num_hot2
 
     def test_budget_caps_hot_partition(self):
-        compiled = compiled_with_slices(2)
-        t = compiled.hot_cold_table(budget_bytes=4096)
-        assert 1 <= t.num_hot <= max(1, 4096 // (t.stride * 4))
-        # the budget caps the hot *rows*; the parking zone rides on top
-        assert t.num_hot * t.stride * 4 <= max(4096, t.stride * 4)
+        t = compiled_with_slices(2).hot_cold2_table(budget_bytes=4096)
+        row = t.symbol_width ** 2 * t.hot2_flat.itemsize
+        assert 1 <= t.num_hot2 <= max(1, 4096 // row)
+        # the budget caps the pair *rows*; the parking cell rides on top
+        assert t.num_hot2 * row <= max(4096, row)
 
     def test_all_cold_budget_leaves_one_hot_row(self):
-        t = compiled_with_slices(4).hot_cold_table(
+        t = compiled_with_slices(4).hot_cold2_table(
             budget_bytes=ALL_COLD_BUDGET)
-        assert t.num_hot == 1
-        assert t.num_cold == t.num_states - 1
+        assert t.num_hot2 == 1
 
     def test_generous_budget_holds_everything_hot(self):
-        t = compiled_with_slices(4).hot_cold_table(budget_bytes=1 << 26)
-        assert t.num_cold == 0
-        assert t.cold.stored_transitions == 0
+        compiled = compiled_with_slices(4)
+        hc = compiled.hot_cold2_table(budget_bytes=1 << 26).scanner()
+        assert hc.num_hot2 == hc.num_states
+        raw = _corpus(random.Random(29), 3000)
+        count_arr(hc, np.frombuffer(raw, dtype=np.uint8), 8, hc.start)
+        assert hc.stats["cold_steps"] == 0
 
     def test_pointer_state_roundtrip_every_state(self):
         compiled = compiled_with_slices(4)
@@ -123,7 +128,7 @@ class TestHotColdTable:
 
     def test_footprint_accounting_shrinks_with_split(self):
         compiled = compiled_with_slices(4)
-        t = compiled.hot_cold_table(budget_bytes=2048)
+        t = compiled.hot_cold2_table(budget_bytes=2048)
         assert t.table_bytes < compiled.fused_table_bytes
 
 
@@ -357,6 +362,36 @@ class TestArtifactMigration:
         before = dict(COUNTERS)
         assert cache.load(built.fingerprint) is None
         assert COUNTERS["cache_rejects"] == before["cache_rejects"] + 1
+
+    def test_legacy_visit_mass_row_is_ignored_on_load(self, tmp_path):
+        # Artifacts written before the visit-mass row was dropped carry
+        # a `hotcold_mass` array; a warm load must ignore it.
+        import io
+
+        pats = [(chr(65 + i % 26) + chr(65 + i // 26) + "SIG").encode()
+                for i in range(40)]
+        cache = ArtifactCache(tmp_path)
+        built = compile_dictionary(pats, max_states=60, cache=cache)
+        assert built.num_slices > 1
+        path = cache.path_for(built.fingerprint)
+        with np.load(path, allow_pickle=False) as z:
+            arrays = {k: z[k] for k in z.files}
+        assert "hotcold_mass" not in arrays
+        n = len(arrays["hotcold_order"])
+        arrays["hotcold_mass"] = np.full(n, 1.0 / n)
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **arrays)
+        path.write_bytes(buf.getvalue())
+        before = dict(COUNTERS)
+        loaded = compile_dictionary(pats, max_states=60, cache=cache)
+        hc = loaded.hot_cold2_scanner()
+        assert COUNTERS["cache_rejects"] == before["cache_rejects"]
+        assert COUNTERS["cache_hits"] == before["cache_hits"] + 1
+        assert COUNTERS["automaton_builds"] == before["automaton_builds"]
+        raw = b"zzAASIGzz BBSIG ccsig " * 50
+        got, _ = count_arr(hc, np.frombuffer(raw, dtype=np.uint8), 8,
+                           hc.start, weights=hc.weights)
+        assert int(got) == len(built.match_events(raw)) > 0
 
     def test_warm_v4_load_scans_hot_cold_without_rebuilds(self, tmp_path):
         pats = [(chr(65 + i % 26) + chr(65 + i // 26) + "SIG").encode()

@@ -15,7 +15,8 @@ from repro.core.compiled import (ArtifactCache, COMPAT_TABLE_FORMAT_VERSIONS,
                                  COUNTERS, TABLE_FORMAT_VERSION,
                                  CompileError, compile_dictionary)
 from repro.core.scan import (HOTCOLD_LANES_TARGET, HotCold2Kernel,
-                             SharedArrayBundle, count_arr,
+                             SharedArrayBundle, bundle_from_table,
+                             count_arr,
                              hotcold_lanes_target, hotcold_strip_elems,
                              pair_symbol_table)
 from repro.core.planner import plan_backend
@@ -61,8 +62,9 @@ class TestHotCold2Table:
     def test_foldpair_composes_the_byte_fold(self):
         compiled = compiled_with_slices(1)
         fp = compiled.foldpair_table()
-        t = compiled.hot_cold_table()
+        t = compiled.hot_cold2_table()
         W = t.symbol_width
+        assert np.array_equal(t.foldpair, fp)
         fold = np.asarray(t.fold_table, dtype=np.int64)
         rng = random.Random(6)
         for _ in range(100):
@@ -78,6 +80,37 @@ class TestHotCold2Table:
             t = compiled.hot_cold2_table()
             assert t.num_hot2 == t.num_states
         assert not compiled.pair_table_fits(budget_bytes=ALL_COLD_BUDGET)
+
+
+class TestHotCold2Bundle:
+    """The ``hotcold2`` bundle ships exactly what the scanner reads."""
+
+    #: Every table array HotCold2Scanner (and HotCold2Kernel) reads.
+    SCANNED = {"hot2_flat", "wflat", "fflat", "foldpair", "fold_table",
+               "utr", "order", "rank_of", "wstate", "fstate",
+               "slice_maps", "slice_weights", "slice_flags"}
+
+    @pytest.mark.parametrize("slices", [1, 4])
+    def test_manifest_names_exactly_the_scanned_arrays(self, slices):
+        t = compiled_with_slices(slices).hot_cold2_table()
+        with bundle_from_table(t) as seg:
+            names = [spec[0] for spec in seg.meta()["arrays"]]
+            assert sorted(names) == sorted(self.SCANNED)
+            back = seg.table()
+            for name in self.SCANNED:
+                assert np.array_equal(getattr(back, name),
+                                      getattr(t, name)), name
+            del back
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_table_bytes_is_the_manifest_footprint(self, budget):
+        t = compiled_with_slices(4).hot_cold2_table(budget_bytes=budget)
+        assert t.table_bytes == sum(int(getattr(t, name).nbytes)
+                                    for name in self.SCANNED)
+        with bundle_from_table(t) as seg:
+            assert t.table_bytes == sum(
+                np.dtype(dt).itemsize * count
+                for _, dt, _, count in seg.meta()["arrays"])
 
 
 class TestHotCold2Differential:
