@@ -22,10 +22,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import ascii_table
-from repro.core.compiled import compile_dictionary
+from repro.core.compiled import compile_dictionary, compiled_arrays
 from repro.core.compressed import ColdRowStore, CompressedSTT
 from repro.core.scan import HOTCOLD_LANES_TARGET, count_arr
-from repro.core.scan.bundle import bundle_from_compiled
 from repro.core.planner import plan_tile
 from repro.dfa import AhoCorasick
 from repro.dfa.alphabet import identity_fold
@@ -136,12 +135,12 @@ def shipping():
 
 
 def _shipped_union_rows(compiled) -> ColdRowStore:
-    """The union-row CSR exactly as the compiled bundle carries it."""
-    with bundle_from_compiled(compiled) as seg:
-        return ColdRowStore(seg["union_csr_keys"].copy(),
-                            seg["union_csr_vals"].copy(),
-                            seg["union_csr_default"].copy(),
-                            seg.scalar("union_rows"))
+    """The union-row CSR exactly as the artifact file and the compiled
+    bundle carry it (both encode through ``compiled_arrays``)."""
+    arrays, _ = compiled_arrays(compiled)
+    return ColdRowStore(arrays["union_csr_keys"], arrays["union_csr_vals"],
+                        arrays["union_csr_default"],
+                        int(arrays["union_csr_rows"][0]))
 
 
 def test_pair_table_budget_sweep_report(shipping, report):

@@ -1,11 +1,14 @@
 #!/usr/bin/env python
-"""Deployment workflow: compile once, ship a filter pack, scan flows.
+"""Deployment workflow: compile once, ship the artifact, scan flows.
 
 A realistic operator loop on top of the library:
 
-1. compile the rule set (case-insensitive exact strings) into a DFA and
-   serialize it as a checksummed *filter pack*;
-2. load the pack on the "appliance" side and verify integrity;
+1. compile the rule set (case-insensitive exact strings) once, on the
+   control plane, into an :class:`ArtifactCache` directory — one
+   versioned ``.npz`` file keyed by the rule set's content fingerprint;
+2. on the "appliance" side, compile the same rules through the same
+   cache: the artifact loads with zero automaton builds (a corrupt or
+   stale file would be a miss and a recompile, never a wrong scan);
 3. scan interleaved per-connection traffic with :class:`FlowMatcher`,
    which keeps DFA state per flow so signatures split across packets of
    the same connection still match — the property the paper's 16 lanes
@@ -14,11 +17,12 @@ A realistic operator loop on top of the library:
 Run:  python examples/flow_deployment.py
 """
 
+import tempfile
+
 import numpy as np
 
-from repro.core.artifact import pack_filter, unpack_filter
+from repro.core.compiled import COUNTERS, ArtifactCache, compile_dictionary
 from repro.core.flows import FlowMatcher
-from repro.dfa import AhoCorasick, case_fold_32
 from repro.workloads import http_requests
 
 
@@ -26,17 +30,22 @@ RULES = [b"UNION SELECT", b"ETC PASSWD", b"CMD EXE", b"SCRIPT ALERT"]
 
 
 def main() -> None:
-    # -- 1. compile + pack on the control plane -----------------------------
-    fold = case_fold_32()
-    dfa = AhoCorasick([fold.fold_bytes(r) for r in RULES], 32).to_dfa()
-    pack = pack_filter(dfa, fold)
-    print(f"rule set   : {len(RULES)} rules -> {dfa.num_states}-state DFA")
-    print(f"filter pack: {len(pack)} bytes (versioned, CRC-sealed)")
+    with tempfile.TemporaryDirectory() as cache_dir:
+        # -- 1. compile + store on the control plane ------------------------
+        built = compile_dictionary(RULES, cache=ArtifactCache(cache_dir))
+        path = ArtifactCache(cache_dir).path_for(built.fingerprint)
+        print(f"rule set   : {len(RULES)} rules -> "
+              f"{built.total_states}-state DFA")
+        print(f"artifact   : {path.name[:16]}... "
+              f"{path.stat().st_size} bytes")
 
-    # -- 2. load on the data plane --------------------------------------------
-    loaded_dfa, loaded_fold = unpack_filter(pack)
-    print(f"loaded     : {loaded_dfa.num_states} states, fold width "
-          f"{loaded_fold.width} — integrity verified\n")
+        # -- 2. load on the data plane --------------------------------------
+        builds = COUNTERS["automaton_builds"]
+        loaded = compile_dictionary(RULES, cache=ArtifactCache(cache_dir))
+        print(f"loaded     : {loaded.total_states} states, fold width "
+              f"{loaded.fold.width}, "
+              f"{COUNTERS['automaton_builds'] - builds} automaton builds\n")
+    (loaded_dfa,), loaded_fold = loaded.dfas, loaded.fold
 
     # -- 3. interleaved flow traffic -----------------------------------------
     matcher = FlowMatcher(loaded_dfa)

@@ -110,8 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", default="auto",
                        choices=backends,
                        help="default SCAN backend (default: auto)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes for parallel backends")
     serve.add_argument("--pool-workers", type=int, default=0,
                        help="gateway mode: N worker processes attached "
                             "to the compiled dictionary over shared "
@@ -161,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--backend", default="auto",
                       choices=backends,
                       help="daemon SCAN backend (in-process daemon only)")
-    load.add_argument("--workers", type=int, default=1)
     load.add_argument("--pool-workers", type=int, default=0,
                       help="in-process daemon: run the gateway + "
                            "worker-pool mode with N processes (0 = "
@@ -358,7 +355,7 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port,
         backend=None if args.backend == "auto" else args.backend,
-        workers=args.workers, max_pending=args.max_pending,
+        max_pending=args.max_pending,
         admission=args.admission, request_timeout=args.timeout,
         drain_timeout=args.drain_timeout, max_flows=args.max_flows,
         session_policy=args.session_eviction,
@@ -435,7 +432,7 @@ def _cmd_bench_load(args) -> int:
     else:
         config = ServiceConfig(
             backend=None if args.backend == "auto" else args.backend,
-            workers=args.workers, pool_workers=args.pool_workers)
+            pool_workers=args.pool_workers)
         handle = ServiceThread(ScanService(patterns,
                                            config=config)).start()
         host, port = handle.host, handle.port

@@ -6,7 +6,6 @@ tile composition, dynamic STT replacement, the vectorized numpy engine,
 and the high-level :class:`CellStringMatcher` API.
 """
 
-from .artifact import ArtifactError, pack_filter, unpack_filter
 from .backends import (BackendError, ScanBackend, ScanContext, ScanOutcome,
                        ScanRequest, backend_names, backend_specs, execute,
                        get_backend, register_backend)
@@ -38,9 +37,6 @@ from .stt import CELL_BYTES, STTError, STTImage, row_stride
 from .tile import DFATile, TileError, TileRunResult, merge_stats
 
 __all__ = [
-    "ArtifactError",
-    "pack_filter",
-    "unpack_filter",
     "BackendError",
     "ScanBackend",
     "ScanContext",

@@ -64,7 +64,8 @@ __all__ = [
     "hot_budget_bytes",
     "COUNTERS",
     "TABLE_FORMAT_VERSION",
-    "COMPAT_TABLE_FORMAT_VERSIONS",
+    "compiled_arrays",
+    "compiled_from_arrays",
 ]
 
 #: Version of the compiled-table layout (flag-encoded flat rows, weight
@@ -87,14 +88,9 @@ __all__ = [
 #: stride scanning (the composed ``foldpair`` gather table), and the
 #: multi-slice union transition matrix is stored in the
 #: :class:`~repro.core.compressed.ColdRowStore` shared-default-row
-#: encoding instead of densely.  v5 loaders still accept v4 files
-#: (the pair layout is then derived on first use), so an upgrade does
-#: not cold-start a warm cache.
+#: encoding instead of densely.  Only v5 files load; older ones are
+#: misses and get recompiled.
 TABLE_FORMAT_VERSION = 5
-
-#: Format versions :class:`ArtifactCache` can still load.  Order
-#: matters: probed newest-first.
-COMPAT_TABLE_FORMAT_VERSIONS = (5, 4)
 
 #: Compile-work observability.  ``automaton_builds`` counts every
 #: Aho–Corasick construction and regex determinization; the cache
@@ -194,15 +190,15 @@ class CompiledDictionary:
     groups: Tuple[Tuple[int, ...], ...]
     dfas: Tuple[DFA, ...]
     fingerprint: str
-    #: Exact-mode partition (``None`` for regex dictionaries); kept so
-    #: deployment planning and tests can inspect the bin-packing.
-    partition: Optional[PartitionedDictionary] = None
+    _partition: Optional[PartitionedDictionary] = \
+        field(default=None, repr=False)
     _tables: Optional[List[Tuple[np.ndarray, np.ndarray]]] = \
         field(default=None, repr=False)
     _scanners: Optional[List[FlatScanner]] = field(default=None, repr=False)
     _fused: Optional[FusedTable] = field(default=None, repr=False)
     _fused_scanner: Optional[FusedScanner] = field(default=None, repr=False)
     _union: Optional[DFA] = field(default=None, repr=False)
+    _union_rows: Optional[ColdRowStore] = field(default=None, repr=False)
     _union_order: Optional[np.ndarray] = field(default=None, repr=False)
     _slice_maps: Optional[np.ndarray] = field(default=None, repr=False)
     _hotcold2: Optional[HotCold2Table] = field(default=None, repr=False)
@@ -242,6 +238,19 @@ class CompiledDictionary:
             for local, gid in enumerate(group):
                 locations[gid] = (si, local)
         return locations
+
+    @property
+    def partition(self) -> Optional[PartitionedDictionary]:
+        """Exact-mode bin-packing (``None`` for regex dictionaries), for
+        deployment planning; a decoded dictionary derives it on first
+        read."""
+        if self._partition is None and not self.regex:
+            self._partition = PartitionedDictionary(
+                patterns=tuple(self.fold.fold_bytes(p)
+                               for p in self.patterns),
+                groups=self.groups, dfas=self.dfas,
+                max_states=self.max_states)
+        return self._partition
 
     @property
     def regex_slices(self) -> List[Tuple[DFA, List[int]]]:
@@ -322,7 +331,7 @@ class CompiledDictionary:
         """One Aho–Corasick automaton over the *whole* dictionary.
 
         For a single slice this *is* the slice DFA.  Otherwise it is
-        built (or loaded from the artifact) over all folded patterns in
+        built (or decoded from the artifact) over all folded patterns in
         original order, so its outputs carry global pattern ids and
         ``len(outputs[s])`` is the whole-dictionary multiplicity.
         """
@@ -339,9 +348,19 @@ class CompiledDictionary:
                 self._union = ac.to_dfa()
         return self._union
 
+    def union_rows(self) -> ColdRowStore:
+        """:meth:`union_dfa`'s rows in the shared-default-row encoding
+        the artifact stores; a decoded dictionary keeps the carrier's
+        arrays, so re-encoding it does no work."""
+        if self._union_rows is None:
+            union = self.union_dfa()
+            self._union_rows = ColdRowStore.from_rows(
+                union.transitions, union.transitions[union.start])
+        return self._union_rows
+
     def hot_cold_layout(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(visit_order, slice_maps)`` of the union automaton — the
-        two derived arrays the v4 artifact persists.  The order ranks
+        two derived arrays the artifact persists.  The order ranks
         union states hottest-first; ``slice_maps[d]`` projects every
         union state onto slice ``d`` (:func:`project_states`), which is
         what keeps per-slice counts exact with one union-table pass."""
@@ -363,8 +382,8 @@ class CompiledDictionary:
     # -- two-byte stride (pair) tables ----------------------------------------------
 
     def foldpair_table(self) -> np.ndarray:
-        """The composed pair-symbol gather table (v5 artifact row;
-        derived on first use for v4 loads and fresh compiles)."""
+        """The composed pair-symbol gather table (an artifact row;
+        derived on first use for fresh compiles)."""
         if self._pair_foldpair is None:
             self._pair_foldpair = pair_symbol_table(self.fold.np_table,
                                                     self.fold.width)
@@ -479,7 +498,7 @@ def _build_exact(patterns: Tuple[bytes, ...], fold: FoldMap,
     return CompiledDictionary(
         patterns=patterns, fold=fold, regex=False, max_states=max_states,
         groups=partition.groups, dfas=partition.dfas,
-        fingerprint=fingerprint, partition=partition)
+        fingerprint=fingerprint, _partition=partition)
 
 
 def _build_regex(patterns: Tuple[bytes, ...], fold: FoldMap,
@@ -563,6 +582,179 @@ def compile_dictionary(patterns: Sequence[Pattern],
     return compiled
 
 
+# -- the one codec: named arrays + scalars -------------------------------------------
+#
+# A compiled dictionary has one serialization with two carriers: the
+# ArtifactCache's ``.npz`` file (the scalars ride its JSON ``meta``
+# row) and the worker pool's ``SharedArrayBundle("compiled", ...)``
+# (the scalars ride the manifest).  The decoder reads any mapping with
+# ``[]`` and ``in`` and checks every array against the dtype and shape
+# the encoder wrote instead of converting it, so a bundle-decoded
+# dictionary's tables are views of the shared segment.
+
+
+def _pairs(outputs: Dict[int, Tuple[int, ...]]) -> np.ndarray:
+    """DFA outputs as sorted ``(state, pattern)`` rows."""
+    pairs = [(s, p) for s, pats in sorted(outputs.items()) for p in pats]
+    return np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+
+
+def _outputs(arrays, key: str) -> Dict[int, Tuple[int, ...]]:
+    """Inverse of :func:`_pairs`."""
+    outputs: Dict[int, Tuple[int, ...]] = {}
+    for s, p in _array(arrays, key, np.int64, (-1, 2)).tolist():
+        outputs[s] = outputs.get(s, ()) + (p,)
+    return outputs
+
+
+def _split(flat, lens: np.ndarray) -> list:
+    """Cut ``flat`` into consecutive pieces of lengths ``lens``, which
+    must cover it exactly."""
+    ends = np.cumsum(lens).tolist()
+    if (ends[-1] if ends else 0) != len(flat) or \
+            any(b < a for a, b in zip([0] + ends, ends)):
+        raise ValueError("piece lengths do not cover the stored run")
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _array(arrays, key: str, dtype, shape: Tuple[int, ...]) -> np.ndarray:
+    """``arrays[key]`` as stored (never a converted copy), checked
+    against the dtype and shape the encoder wrote."""
+    arr = np.asarray(arrays[key])
+    if arr.dtype != np.dtype(dtype):
+        raise ValueError(f"{key}: dtype {arr.dtype}, expected "
+                         f"{np.dtype(dtype)}")
+    return arr.reshape(shape)
+
+
+def compiled_arrays(compiled: CompiledDictionary
+                    ) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
+    """Encode a dictionary as ``(named arrays, scalars)``.
+
+    The arrays are everything a warm start needs to skip compile work:
+    patterns, fold, per-slice dense tables, the fused stack
+    (multi-slice), and for exact dictionaries the union automaton's
+    layout — visit order, union→slice maps, the pair-symbol gather
+    table and (multi-slice) the union rows in the
+    :class:`~repro.core.compressed.ColdRowStore` encoding.  The pair
+    table itself stays derived: it depends on the runtime hot budget.
+    """
+    arrays: Dict[str, np.ndarray] = {
+        "fold_table": compiled.fold.np_table,
+        "patterns_blob": np.frombuffer(b"".join(compiled.patterns),
+                                       dtype=np.uint8),
+        "pattern_lens": np.asarray([len(p) for p in compiled.patterns],
+                                   dtype=np.int64),
+        "group_lens": np.asarray([len(g) for g in compiled.groups],
+                                 dtype=np.int64),
+        "groups_flat": np.asarray([i for g in compiled.groups for i in g],
+                                  dtype=np.int64),
+        "starts": np.asarray([d.start for d in compiled.dfas],
+                             dtype=np.int64),
+    }
+    for i, dfa in enumerate(compiled.dfas):
+        arrays[f"trans_{i}"] = dfa.transitions
+        arrays[f"final_{i}"] = dfa.final_mask.astype(np.uint8)
+        arrays[f"outputs_{i}"] = _pairs(dfa.outputs)
+    if compiled.num_slices > 1:
+        fused = compiled.fused_table()
+        arrays["fused_flat"] = fused.flat
+        arrays["fused_weights"] = fused.weights
+        arrays["fused_cell_base"] = fused.cell_base
+    if not compiled.regex:
+        order, maps = compiled.hot_cold_layout()
+        arrays["hotcold_order"] = np.asarray(order, dtype=np.int64)
+        arrays["hotcold_slice_maps"] = np.asarray(maps, dtype=np.int64)
+        arrays["hotcold2_foldpair"] = compiled.foldpair_table()
+        if compiled.num_slices > 1:
+            union = compiled.union_dfa()
+            rows = compiled.union_rows()
+            arrays["union_csr_keys"] = rows.keys
+            arrays["union_csr_vals"] = rows.vals
+            arrays["union_csr_default"] = rows.default_row
+            arrays["union_csr_rows"] = np.asarray([rows.num_rows],
+                                                  dtype=np.int64)
+            arrays["union_final"] = union.final_mask.astype(np.uint8)
+            arrays["union_start"] = np.asarray([union.start],
+                                               dtype=np.int64)
+            arrays["union_outputs"] = _pairs(union.outputs)
+    scalars = {
+        "fingerprint": compiled.fingerprint,
+        "regex": bool(compiled.regex),
+        "max_states": int(compiled.max_states),
+        "fold_width": int(compiled.fold.width),
+        "num_slices": int(compiled.num_slices),
+    }
+    return arrays, scalars
+
+
+def compiled_from_arrays(arrays, scalars) -> CompiledDictionary:
+    """Decode :func:`compiled_arrays`' output with zero automaton
+    builds.  ``arrays`` is any mapping with ``[]`` and ``in`` (an
+    ``NpzFile``, a :class:`~repro.core.scan.SharedArrayBundle`); arrays
+    carried flat are reshaped, never copied, so the result aliases the
+    carrier — keep a bundle open for the dictionary's lifetime.
+    Raises on any array whose dtype or shape disagrees with the
+    scalars."""
+    width = int(scalars["fold_width"])
+    num_slices = int(scalars["num_slices"])
+    fold = FoldMap(tuple(_array(arrays, "fold_table", np.uint8,
+                                (256,)).tolist()), width)
+    patterns = tuple(_split(
+        _array(arrays, "patterns_blob", np.uint8, (-1,)).tobytes(),
+        _array(arrays, "pattern_lens", np.int64, (-1,))))
+    groups = tuple(tuple(g) for g in _split(
+        _array(arrays, "groups_flat", np.int64, (-1,)).tolist(),
+        _array(arrays, "group_lens", np.int64, (num_slices,))))
+    starts = _array(arrays, "starts", np.int64, (num_slices,))
+    dfas = []
+    for i in range(num_slices):
+        trans = _array(arrays, f"trans_{i}", np.int32, (-1, width))
+        final = _array(arrays, f"final_{i}", np.uint8, (len(trans),))
+        dfas.append(DFA(trans, finals=np.flatnonzero(final),
+                        start=int(starts[i]),
+                        outputs=_outputs(arrays, f"outputs_{i}")))
+    fused = None
+    if "fused_flat" in arrays:
+        total = sum(d.num_states for d in dfas)
+        fused = FusedTable(     # stride 2 × 256: the fold is composed in
+            flat=_array(arrays, "fused_flat", np.int32, (total * 512,)),
+            weights=_array(arrays, "fused_weights", np.int32,
+                           (total * 256 + 1,)),
+            cell_base=_array(arrays, "fused_cell_base", np.int64,
+                             (num_slices,)),
+            starts=starts,
+            num_states=np.asarray([d.num_states for d in dfas],
+                                  dtype=np.int64),
+            symbol_width=256)
+    union = rows = None
+    if "union_csr_keys" in arrays:
+        rows = ColdRowStore(
+            _array(arrays, "union_csr_keys", np.int64, (-1,)),
+            _array(arrays, "union_csr_vals", np.int32, (-1,)),
+            _array(arrays, "union_csr_default", np.int32, (width,)),
+            int(_array(arrays, "union_csr_rows", np.int64, (1,))[0]))
+        union = DFA(rows.dense_rows(),
+                    finals=np.flatnonzero(_array(
+                        arrays, "union_final", np.uint8, (rows.num_rows,))),
+                    start=int(_array(arrays, "union_start", np.int64,
+                                     (1,))[0]),
+                    outputs=_outputs(arrays, "union_outputs"))
+    order = maps = foldpair = None
+    if "hotcold_order" in arrays:
+        n = (dfas[0] if union is None else union).num_states
+        order = _array(arrays, "hotcold_order", np.int64, (n,))
+        maps = _array(arrays, "hotcold_slice_maps", np.int64,
+                      (num_slices, n))
+        foldpair = _array(arrays, "hotcold2_foldpair", np.uint16, (65536,))
+    return CompiledDictionary(
+        patterns=patterns, fold=fold, regex=bool(scalars["regex"]),
+        max_states=int(scalars["max_states"]), groups=groups,
+        dfas=tuple(dfas), fingerprint=str(scalars["fingerprint"]),
+        _fused=fused, _union=union, _union_rows=rows, _union_order=order,
+        _slice_maps=maps, _pair_foldpair=foldpair)
+
+
 # -- the on-disk artifact cache -----------------------------------------------------
 
 
@@ -575,46 +767,20 @@ def _default_cache_dir() -> pathlib.Path:
                        pathlib.Path.home() / ".cache")) / "repro-dfa"
 
 
-def _union_rows_dense(data) -> np.ndarray:
-    """v4 section: the union transition matrix stored densely."""
-    return data["union_trans"]
-
-
-def _union_rows_csr(data) -> np.ndarray:
-    """v5 section: union rows in the ColdRowStore shared-default-row
-    encoding, densified on load."""
-    return ColdRowStore(
-        data["union_csr_keys"], data["union_csr_vals"],
-        data["union_csr_default"],
-        int(data["union_csr_rows"][0])).dense_rows()
-
-
-#: Versioned union-matrix sections, probed in priority order by
-#: :meth:`ArtifactCache._load_file`: each entry is ``(marker key,
-#: loader)``.  Supporting a future encoding means appending one row
-#: here, not growing another ``elif`` chain; every version in
-#: :data:`COMPAT_TABLE_FORMAT_VERSIONS` maps onto exactly one section.
-_UNION_ROW_SECTIONS = (
-    ("union_trans", _union_rows_dense),      # v4
-    ("union_csr_keys", _union_rows_csr),     # v5
-)
-
-
 class ArtifactCache:
     """Compiled dictionaries on disk, keyed by fingerprint + format
     version.
 
-    One ``.npz`` per artifact holds the dense transition tables, final
-    masks, outputs, groups, patterns and fold — everything needed to
-    rebuild a :class:`CompiledDictionary` without touching the
-    dictionary compilers.  Flat/weight execution tables are *not*
-    stored: they are derived by fast vectorized numpy passes and
-    rebuilding them keeps the format independent of in-memory layout
-    tweaks.
+    One ``.npz`` per artifact holds :func:`compiled_arrays`' arrays
+    plus a ``meta`` row (magic, format version and the scalars).
+    Per-slice flat/weight execution tables are *not* stored: they are
+    derived by fast vectorized numpy passes, which keeps the format
+    independent of in-memory layout tweaks.
 
-    Robustness: loads verify magic, format version and fingerprint;
-    corrupt or stale files count as misses (``COUNTERS["cache_rejects"]``)
-    and never poison a scan.  Stores are atomic (temp file + rename).
+    Robustness: loads verify magic, format version and fingerprint,
+    and the decoder checks every array's dtype and shape; corrupt or
+    stale files count as misses (``COUNTERS["cache_rejects"]``) and
+    never poison a scan.  Stores are atomic (temp file + rename).
     """
 
     def __init__(self, directory: Optional[Union[str, os.PathLike]] = None
@@ -628,91 +794,17 @@ class ArtifactCache:
             version = TABLE_FORMAT_VERSION
         return self.directory / f"{fingerprint}-v{version}.npz"
 
-    # -- store ---------------------------------------------------------------------
-
     def store(self, compiled: CompiledDictionary) -> pathlib.Path:
         """Persist one artifact; returns its path."""
-        arrays: Dict[str, np.ndarray] = {}
-        meta = {
-            "magic": "repro-compiled-dictionary",
-            "version": TABLE_FORMAT_VERSION,
-            "fingerprint": compiled.fingerprint,
-            "regex": compiled.regex,
-            "max_states": compiled.max_states,
-            "fold_width": compiled.fold.width,
-            "num_slices": compiled.num_slices,
-        }
-        arrays["meta"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8).copy()
-        arrays["fold_table"] = compiled.fold.np_table.copy()
-        blob = b"".join(compiled.patterns)
-        arrays["patterns_blob"] = np.frombuffer(
-            blob, dtype=np.uint8).copy() if blob else \
-            np.zeros(0, dtype=np.uint8)
-        arrays["pattern_lens"] = np.asarray(
-            [len(p) for p in compiled.patterns], dtype=np.int64)
-        arrays["group_lens"] = np.asarray(
-            [len(g) for g in compiled.groups], dtype=np.int64)
-        arrays["groups_flat"] = np.asarray(
-            [i for g in compiled.groups for i in g], dtype=np.int64)
-        arrays["starts"] = np.asarray(
-            [d.start for d in compiled.dfas], dtype=np.int64)
-        for i, dfa in enumerate(compiled.dfas):
-            arrays[f"trans_{i}"] = dfa.transitions
-            arrays[f"final_{i}"] = dfa.final_mask.astype(np.uint8)
-            pairs = [(s, p) for s, pats in sorted(dfa.outputs.items())
-                     for p in pats]
-            arrays[f"outputs_{i}"] = np.asarray(
-                pairs, dtype=np.int64).reshape(len(pairs), 2)
-        if compiled.num_slices > 1:
-            # Multi-slice artifacts carry the stacked table so a warm
-            # start skips the stacking pass too.  (Per-slice flat tables
-            # stay derived: the fused one covers the hot path and the
-            # slice views read straight out of it.)
-            fused = compiled.fused_table()
-            arrays["fused_flat"] = fused.flat
-            arrays["fused_weights"] = fused.weights
-            arrays["fused_cell_base"] = fused.cell_base
-        if not compiled.regex:
-            # v4: the layout of the union automaton.  The pair table
-            # itself stays derived (it depends on the runtime hot
-            # budget); what is expensive and deterministic —
-            # the union build, the visit profiling and the union→slice
-            # projections — is what gets persisted.
-            order, maps = compiled.hot_cold_layout()
-            arrays["hotcold_order"] = np.asarray(order, dtype=np.int64)
-            arrays["hotcold_slice_maps"] = np.asarray(maps,
-                                                     dtype=np.int64)
-            # v5: the composed pair-symbol gather table, so a warm
-            # start builds the two-byte stride path with zero fold
-            # composition passes.
-            arrays["hotcold2_foldpair"] = compiled.foldpair_table()
-            if compiled.num_slices > 1:
-                union = compiled.union_dfa()
-                # v5: union rows ride the ColdRowStore shared-default
-                # encoding (most union rows differ from the start row
-                # only at trie edges, so the exception list is small).
-                store_csr = ColdRowStore.from_rows(
-                    np.asarray(union.transitions),
-                    np.asarray(union.transitions)[union.start])
-                arrays["union_csr_keys"] = store_csr.keys
-                arrays["union_csr_vals"] = store_csr.vals
-                arrays["union_csr_default"] = store_csr.default_row
-                arrays["union_csr_rows"] = np.asarray(
-                    [union.num_states], dtype=np.int64)
-                arrays["union_final"] = union.final_mask.astype(np.uint8)
-                arrays["union_start"] = np.asarray([union.start],
-                                                   dtype=np.int64)
-                upairs = [(s, p)
-                          for s, pats in sorted(union.outputs.items())
-                          for p in pats]
-                arrays["union_outputs"] = np.asarray(
-                    upairs, dtype=np.int64).reshape(len(upairs), 2)
-
+        arrays, scalars = compiled_arrays(compiled)
+        meta = {"magic": "repro-compiled-dictionary",
+                "version": TABLE_FORMAT_VERSION, **scalars}
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(compiled.fingerprint)
         buf = io.BytesIO()
-        np.savez_compressed(buf, **arrays)
+        np.savez_compressed(
+            buf, meta=np.frombuffer(json.dumps(meta).encode(),
+                                    dtype=np.uint8), **arrays)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -727,139 +819,33 @@ class ArtifactCache:
         COUNTERS["cache_stores"] += 1
         return path
 
-    # -- load ----------------------------------------------------------------------
-
     def load(self, fingerprint: str) -> Optional[CompiledDictionary]:
         """Rebuild an artifact by fingerprint, or ``None`` on miss.
 
-        Corrupt files, stale format versions and fingerprint mismatches
-        are all misses — the caller recompiles and overwrites.
+        Files of other format versions are never read, and corrupt
+        files and fingerprint mismatches are misses too — the caller
+        recompiles and overwrites.
         """
-        path = None
-        candidates = [self.path_for(fingerprint)]
-        candidates += [self.path_for(fingerprint, v)
-                       for v in COMPAT_TABLE_FORMAT_VERSIONS]
-        for candidate in candidates:
-            if candidate.exists():
-                path = candidate
-                break
-        if path is None:
+        path = self.path_for(fingerprint)
+        if not path.exists():
             COUNTERS["cache_misses"] += 1
             return None
         try:
-            compiled = self._load_file(path, fingerprint)
+            with np.load(path) as data:
+                meta = json.loads(bytes(data["meta"]).decode())
+                if meta.get("magic") != "repro-compiled-dictionary":
+                    raise ValueError("bad magic")
+                if meta.get("version") != TABLE_FORMAT_VERSION:
+                    raise ValueError("stale table-format version")
+                if meta.get("fingerprint") != fingerprint:
+                    raise ValueError("fingerprint mismatch")
+                compiled = compiled_from_arrays(data, meta)
         except Exception:
             COUNTERS["cache_rejects"] += 1
             COUNTERS["cache_misses"] += 1
             return None
         COUNTERS["cache_hits"] += 1
         return compiled
-
-    def _load_file(self, path: pathlib.Path,
-                   fingerprint: str) -> CompiledDictionary:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-            if meta.get("magic") != "repro-compiled-dictionary":
-                raise ValueError("bad magic")
-            if meta.get("version") not in COMPAT_TABLE_FORMAT_VERSIONS:
-                raise ValueError("stale table-format version")
-            if meta.get("fingerprint") != fingerprint:
-                raise ValueError("fingerprint mismatch")
-            fold = FoldMap(tuple(int(b) for b in data["fold_table"]),
-                           int(meta["fold_width"]))
-            blob = bytes(data["patterns_blob"])
-            patterns: List[bytes] = []
-            pos = 0
-            for n in data["pattern_lens"]:
-                patterns.append(blob[pos:pos + int(n)])
-                pos += int(n)
-            groups: List[Tuple[int, ...]] = []
-            flat = [int(i) for i in data["groups_flat"]]
-            pos = 0
-            for n in data["group_lens"]:
-                groups.append(tuple(flat[pos:pos + int(n)]))
-                pos += int(n)
-            starts = data["starts"]
-            dfas: List[DFA] = []
-            for i in range(int(meta["num_slices"])):
-                pairs = data[f"outputs_{i}"]
-                outputs: Dict[int, Tuple[int, ...]] = {}
-                for s, p in pairs:
-                    outputs.setdefault(int(s), ())
-                    outputs[int(s)] += (int(p),)
-                dfas.append(DFA(
-                    data[f"trans_{i}"],
-                    finals=np.nonzero(data[f"final_{i}"])[0],
-                    start=int(starts[i]),
-                    outputs=outputs))
-            fused = None
-            if "fused_flat" in data.files:
-                fused = FusedTable(
-                    flat=np.ascontiguousarray(data["fused_flat"],
-                                              dtype=np.int32),
-                    weights=np.ascontiguousarray(data["fused_weights"],
-                                                 dtype=np.int32),
-                    cell_base=np.ascontiguousarray(data["fused_cell_base"],
-                                                   dtype=np.int64),
-                    starts=np.asarray([d.start for d in dfas],
-                                      dtype=np.int64),
-                    num_states=np.asarray([d.num_states for d in dfas],
-                                          dtype=np.int64),
-                    symbol_width=256)
-                if (fused.num_dfas != len(dfas)
-                        or fused.flat.size !=
-                        sum(d.num_states for d in dfas) * fused.stride):
-                    raise ValueError("fused table shape mismatch")
-            union = None
-            utrans = None
-            for marker, loader in _UNION_ROW_SECTIONS:
-                if marker in data.files:
-                    utrans = loader(data)
-                    break
-            if utrans is not None:
-                upairs = data["union_outputs"]
-                uout: Dict[int, Tuple[int, ...]] = {}
-                for s, p in upairs:
-                    uout.setdefault(int(s), ())
-                    uout[int(s)] += (int(p),)
-                union = DFA(utrans,
-                            finals=np.nonzero(data["union_final"])[0],
-                            start=int(data["union_start"][0]),
-                            outputs=uout)
-            pair_foldpair = None
-            if "hotcold2_foldpair" in data.files:
-                pair_foldpair = np.ascontiguousarray(
-                    data["hotcold2_foldpair"], dtype=np.uint16)
-                if pair_foldpair.shape != (65536,):
-                    raise ValueError("pair-symbol table shape mismatch")
-            union_order = None
-            slice_maps = None
-            if "hotcold_order" in data.files:
-                union_order = np.ascontiguousarray(data["hotcold_order"],
-                                                   dtype=np.int64)
-                slice_maps = np.ascontiguousarray(
-                    data["hotcold_slice_maps"], dtype=np.int64)
-                union_states = union.num_states if union is not None \
-                    else int(data["trans_0"].shape[0])
-                if (union_order.shape != (union_states,)
-                        or slice_maps.shape !=
-                        (int(meta["num_slices"]), union_states)):
-                    raise ValueError("hot/cold layout shape mismatch")
-        regex = bool(meta["regex"])
-        max_states = int(meta["max_states"])
-        raw = tuple(patterns)
-        partition = None
-        if not regex:
-            folded = tuple(fold.fold_bytes(p) for p in raw)
-            partition = PartitionedDictionary(
-                patterns=folded, groups=tuple(groups), dfas=tuple(dfas),
-                max_states=max_states)
-        return CompiledDictionary(
-            patterns=raw, fold=fold, regex=regex, max_states=max_states,
-            groups=tuple(groups), dfas=tuple(dfas),
-            fingerprint=fingerprint, partition=partition, _fused=fused,
-            _union=union, _union_order=union_order,
-            _slice_maps=slice_maps, _pair_foldpair=pair_foldpair)
 
     def __repr__(self) -> str:
         return f"ArtifactCache({str(self.directory)!r})"

@@ -11,7 +11,10 @@ The per-kernel knowledge — which arrays a table exports and how to
 rebuild the table object from attached views — lives in the codec
 functions :func:`bundle_from_table` and :func:`table_from_bundle`,
 keyed by the bundle's ``kind``.  Adding a kernel means registering one
-codec.
+codec.  A whole compiled dictionary travels as a ``"compiled"`` bundle
+of :func:`repro.core.compiled.compiled_arrays` — the artifact file's
+arrays, in shared memory — decoded by
+:func:`~repro.core.compiled.compiled_from_arrays`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..compressed import ColdRowStore
 from .fused import FusedTable
 from .hotcold2 import HotCold2Table
 
@@ -30,8 +32,6 @@ __all__ = [
     "BundleError",
     "bundle_from_table",
     "table_from_bundle",
-    "bundle_from_compiled",
-    "compiled_from_bundle",
 ]
 
 #: Meta keys that are structural, not kernel scalars.
@@ -259,181 +259,3 @@ def table_from_bundle(bundle: SharedArrayBundle):
             symbol_width=bundle.scalar("symbol_width"),
             pair_budget_bytes=bundle.scalar("pair_budget_bytes"))
     raise BundleError(f"no table codec for bundle kind {kind!r}")
-
-
-# -- whole-dictionary codec ----------------------------------------------------------
-#
-# The service's worker pool needs the paper's PPE/SPE topology at the
-# process level: the gateway compiles a dictionary ONCE, then every
-# worker attaches to the compiled arrays read-only and reconstructs a
-# CompiledDictionary value object with zero automaton builds (the same
-# recipe ArtifactCache._load_file uses against the on-disk .npz, but
-# against a shared-memory segment and without deserialization).
-
-def bundle_from_compiled(compiled) -> SharedArrayBundle:
-    """Place a whole ``CompiledDictionary`` in shared memory.
-
-    Mirrors :meth:`repro.core.compiled.ArtifactCache.store` (the v5
-    artifact recipe): patterns, fold, per-slice dense tables, the fused
-    stack, the union automaton's CSR rows and the hot/cold layout all
-    ride the segment, so :func:`compiled_from_bundle` re-seats every
-    expensive derived structure instead of rebuilding it.
-    """
-    arrays = [("fold_table", compiled.fold.np_table)]
-    blob = b"".join(compiled.patterns)
-    arrays.append(("patterns_blob",
-                   np.frombuffer(blob, dtype=np.uint8) if blob
-                   else np.zeros(0, dtype=np.uint8)))
-    arrays.append(("pattern_lens", np.asarray(
-        [len(p) for p in compiled.patterns], dtype=np.int64)))
-    arrays.append(("group_lens", np.asarray(
-        [len(g) for g in compiled.groups], dtype=np.int64)))
-    arrays.append(("groups_flat", np.asarray(
-        [i for g in compiled.groups for i in g], dtype=np.int64)))
-    arrays.append(("starts", np.asarray(
-        [d.start for d in compiled.dfas], dtype=np.int64)))
-    for i, dfa in enumerate(compiled.dfas):
-        arrays.append((f"trans_{i}",
-                       np.asarray(dfa.transitions, dtype=np.int32)))
-        arrays.append((f"final_{i}", dfa.final_mask.astype(np.uint8)))
-        pairs = [(s, p) for s, pats in sorted(dfa.outputs.items())
-                 for p in pats]
-        arrays.append((f"outputs_{i}", np.asarray(
-            pairs, dtype=np.int64).reshape(len(pairs), 2)))
-    if compiled.num_slices > 1:
-        fused = compiled.fused_table()
-        arrays += [("fused_flat", fused.flat),
-                   ("fused_weights", fused.weights),
-                   ("fused_cell_base", np.asarray(fused.cell_base,
-                                                  dtype=np.int64))]
-    union_rows = 0
-    union_start = 0
-    if not compiled.regex:
-        order, maps = compiled.hot_cold_layout()
-        arrays.append(("hotcold_order", np.asarray(order,
-                                                   dtype=np.int64)))
-        arrays.append(("hotcold_slice_maps", np.asarray(maps,
-                                                        dtype=np.int64)))
-        arrays.append(("hotcold2_foldpair", compiled.foldpair_table()))
-        if compiled.num_slices > 1:
-            union = compiled.union_dfa()
-            union_rows = int(union.num_states)
-            union_start = int(union.start)
-            store_csr = ColdRowStore.from_rows(
-                np.asarray(union.transitions),
-                np.asarray(union.transitions)[union.start])
-            arrays += [("union_csr_keys", store_csr.keys),
-                       ("union_csr_vals", store_csr.vals),
-                       ("union_csr_default", store_csr.default_row),
-                       ("union_final",
-                        union.final_mask.astype(np.uint8))]
-            upairs = [(s, p) for s, pats in sorted(union.outputs.items())
-                      for p in pats]
-            arrays.append(("union_outputs", np.asarray(
-                upairs, dtype=np.int64).reshape(len(upairs), 2)))
-    scalars = {
-        "fingerprint": compiled.fingerprint,
-        "regex": bool(compiled.regex),
-        "max_states": int(compiled.max_states),
-        "fold_width": int(compiled.fold.width),
-        "num_slices": int(compiled.num_slices),
-        "union_rows": union_rows,
-        "union_start": union_start,
-    }
-    return SharedArrayBundle("compiled", arrays, scalars)
-
-
-def compiled_from_bundle(bundle: SharedArrayBundle):
-    """Reconstruct a ``CompiledDictionary`` from an attached bundle.
-
-    Zero automaton builds (provable via
-    ``repro.core.compiled.COUNTERS["automaton_builds"]``): the slice
-    DFAs, the fused stack, the union automaton and the hot/cold layout
-    are re-seated from the shared views exactly the way
-    ``ArtifactCache._load_file`` re-seats them from disk.  The returned
-    object's tables alias the segment — keep the bundle open for the
-    dictionary's lifetime.
-    """
-    from ..compiled import CompiledDictionary
-    from ...dfa.alphabet import FoldMap
-    from ...dfa.automaton import DFA
-    from ...dfa.partition import PartitionedDictionary
-
-    if bundle.kind != "compiled":
-        raise BundleError(
-            f"expected a 'compiled' bundle, got {bundle.kind!r}")
-    fold = FoldMap(tuple(int(b) for b in bundle["fold_table"]),
-                   int(bundle.scalar("fold_width")))
-    blob = bundle["patterns_blob"].tobytes()
-    patterns = []
-    pos = 0
-    for n in bundle["pattern_lens"]:
-        patterns.append(blob[pos:pos + int(n)])
-        pos += int(n)
-    groups = []
-    flat = [int(i) for i in bundle["groups_flat"]]
-    pos = 0
-    for n in bundle["group_lens"]:
-        groups.append(tuple(flat[pos:pos + int(n)]))
-        pos += int(n)
-    starts = bundle["starts"]
-    num_slices = int(bundle.scalar("num_slices"))
-    dfas = []
-    for i in range(num_slices):
-        pairs = bundle[f"outputs_{i}"].reshape(-1, 2)
-        outputs = {}
-        for s, p in pairs:
-            outputs.setdefault(int(s), ())
-            outputs[int(s)] += (int(p),)
-        trans = bundle[f"trans_{i}"].reshape(-1, fold.width)
-        dfas.append(DFA(trans,
-                        finals=np.nonzero(bundle[f"final_{i}"])[0],
-                        start=int(starts[i]), outputs=outputs))
-    fused = None
-    if "fused_flat" in bundle:
-        fused = FusedTable(
-            flat=bundle["fused_flat"], weights=bundle["fused_weights"],
-            cell_base=bundle["fused_cell_base"],
-            starts=np.asarray([d.start for d in dfas], dtype=np.int64),
-            num_states=np.asarray([d.num_states for d in dfas],
-                                  dtype=np.int64),
-            symbol_width=256)
-    union = None
-    if "union_csr_keys" in bundle:
-        union_rows = int(bundle.scalar("union_rows"))
-        utrans = ColdRowStore(bundle["union_csr_keys"],
-                              bundle["union_csr_vals"],
-                              bundle["union_csr_default"],
-                              union_rows).dense_rows()
-        upairs = bundle["union_outputs"].reshape(-1, 2)
-        uout = {}
-        for s, p in upairs:
-            uout.setdefault(int(s), ())
-            uout[int(s)] += (int(p),)
-        union = DFA(utrans,
-                    finals=np.nonzero(bundle["union_final"])[0],
-                    start=int(bundle.scalar("union_start")),
-                    outputs=uout)
-    union_order = None
-    slice_maps = None
-    if "hotcold_order" in bundle:
-        union_order = bundle["hotcold_order"]
-        slice_maps = bundle["hotcold_slice_maps"].reshape(num_slices, -1)
-    pair_foldpair = None
-    if "hotcold2_foldpair" in bundle:
-        pair_foldpair = bundle["hotcold2_foldpair"]
-    regex = bool(bundle.scalar("regex"))
-    max_states = int(bundle.scalar("max_states"))
-    raw = tuple(patterns)
-    partition = None
-    if not regex:
-        folded = tuple(fold.fold_bytes(p) for p in raw)
-        partition = PartitionedDictionary(
-            patterns=folded, groups=tuple(groups), dfas=tuple(dfas),
-            max_states=max_states)
-    return CompiledDictionary(
-        patterns=raw, fold=fold, regex=regex, max_states=max_states,
-        groups=tuple(groups), dfas=tuple(dfas),
-        fingerprint=bundle.scalar("fingerprint"), partition=partition,
-        _fused=fused, _union=union, _union_order=union_order,
-        _slice_maps=slice_maps, _pair_foldpair=pair_foldpair)

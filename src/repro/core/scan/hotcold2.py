@@ -69,8 +69,8 @@ class HotCold2Table:
     foldpair: np.ndarray         # uint16 (65536,): psym per LE byte pair
     fold_table: np.ndarray       # int32 (256,): byte → folded symbol
     utr: np.ndarray              # rank dtype (NS·W,): rank transitions
-    order: np.ndarray            # int64 (NS,): rank → union state id
-    rank_of: np.ndarray          # int64 (NS,): union state id → rank
+    order: np.ndarray            # int32 (NS,): rank → union state id
+    rank_of: np.ndarray          # int32 (NS,): union state id → rank
     wstate: np.ndarray           # int32 (NS + 1,): multiplicity by rank
     fstate: np.ndarray           # int32 (NS + 1,): final flag by rank
     slice_maps: np.ndarray       # int32 (D, NS): union → slice state
@@ -170,18 +170,19 @@ def build_hot_cold2_table(transitions: np.ndarray, final_mask: np.ndarray,
     foldpair = np.ascontiguousarray(foldpair, dtype=np.uint16)
     if foldpair.shape != (65536,):
         raise DFAError("foldpair table must have 65536 entries")
-    order = np.asarray(order, dtype=np.int64)
+    order = np.asarray(order, dtype=np.int32)
     if order.shape != (n,):
         raise DFAError("visit order must rank every state")
     if int(order[0]) != int(start):
-        order = np.concatenate(([int(start)], order[order != int(start)]))
+        order = np.concatenate(([int(start)], order[order != int(start)]),
+                               dtype=np.int32)
     slice_maps = np.ascontiguousarray(slice_maps, dtype=np.int32)
     if slice_maps.ndim != 2 or slice_maps.shape[1] != n:
         raise DFAError("slice maps must project every union state")
     rdt = rank_dtype(n)
     w2 = width * width
-    rank_of = np.empty(n, dtype=np.int64)
-    rank_of[order] = np.arange(n, dtype=np.int64)
+    rank_of = np.empty(n, dtype=np.int32)
+    rank_of[order] = np.arange(n, dtype=np.int32)
     num_hot2 = max(1, min(n, int(budget_bytes) // (w2 * rdt.itemsize)))
 
     def by_rank(per_state) -> np.ndarray:

@@ -151,7 +151,6 @@ class ServiceClient:
         return int(self.request({"verb": "PING"}).header["generation"])
 
     def scan(self, data: Union[str, bytes], backend: Optional[str] = None,
-             workers: Optional[int] = None,
              events: bool = False,
              tenant: Optional[str] = None) -> ScanResult:
         """One-shot stateless scan of ``data`` (optionally through a
@@ -160,8 +159,6 @@ class ServiceClient:
         header: Dict[str, object] = {"verb": "SCAN"}
         if backend:
             header["backend"] = backend
-        if workers:
-            header["workers"] = workers
         if events:
             header["events"] = True
         if tenant:

@@ -81,8 +81,6 @@ class ServiceConfig:
     port: int = 0                     # 0 = let the OS pick
     #: Default backend for SCAN (``None`` = execution planner).
     backend: Optional[str] = None
-    #: Worker processes for the pooled/streaming backends.
-    workers: int = 1
     #: Admission control: concurrent scan requests in flight.
     max_pending: int = 64
     #: ``"reject"`` sheds load immediately; ``"wait"`` queues up to
@@ -114,8 +112,6 @@ class ServiceConfig:
             raise ValueError("max_pending must be positive")
         if self.scan_threads < 1:
             raise ValueError("scan_threads must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         if self.pool_workers < 0:
             raise ValueError("pool_workers must be >= 0")
 
@@ -598,8 +594,6 @@ class ScanService:
         meta = {
             "tenant": self._tenant_of(frame),
             "backend": frame.header.get("backend") or self.config.backend,
-            "workers": int(frame.header.get("workers")
-                           or self.config.workers),
             "events": bool(frame.header.get("events"))}
         return await self._data_verb(rid, "scan", self._fleet.target(),
                                      meta, frame.payload)
@@ -695,7 +689,6 @@ class ScanService:
             "reload_strategy": RELOAD_STRATEGY,
             "config": {
                 "backend": self.config.backend or "auto",
-                "workers": self.config.workers,
                 "max_pending": self.config.max_pending,
                 "admission": self.config.admission,
                 "max_flows": self.config.max_flows,

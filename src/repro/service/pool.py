@@ -41,11 +41,19 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
-from ..core.scan.bundle import SharedArrayBundle, bundle_from_compiled
+from ..core.compiled import compiled_arrays
+from ..core.scan.bundle import SharedArrayBundle
 from .worker import WorkerOpError, worker_main
 
 __all__ = ["ConsistentHashRing", "WorkerCrashError", "WorkerOpError",
            "WorkerHandle", "WorkerPool", "PoolError"]
+
+
+def _export(compiled) -> SharedArrayBundle:
+    """A dictionary's shared-memory image: the artifact file's arrays
+    in one segment, attached by every worker."""
+    arrays, scalars = compiled_arrays(compiled)
+    return SharedArrayBundle("compiled", arrays.items(), scalars)
 
 
 class PoolError(Exception):
@@ -300,7 +308,7 @@ class WorkerPool:
         child must never inherit live executor threads or server FDs.
         """
         self._loop = asyncio.get_running_loop()
-        bundle = bundle_from_compiled(compiled)
+        bundle = _export(compiled)
         self._bundles[""] = bundle
         self._images[""] = {"bundle_meta": bundle.meta(),
                             "generation": generation}
@@ -398,7 +406,7 @@ class WorkerPool:
         bundle = retired = None
         if compiled is not None:
             bundle = await self._loop.run_in_executor(
-                self._executor, bundle_from_compiled, compiled)
+                self._executor, _export, compiled)
             meta["bundle_meta"] = bundle.meta()
         if rules is not None:                  # a bound ruleset
             meta.update(rules=rules.ruleset.to_specs(), mode=rules.mode)

@@ -41,9 +41,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
 from ..core.backends import BackendError, ScanRequest, execute
-from ..core.compiled import COUNTERS, CompileError
+from ..core.compiled import COUNTERS, CompileError, compiled_from_arrays
 from ..core.flows import FlowError
-from ..core.scan.bundle import SharedArrayBundle, compiled_from_bundle
+from ..core.scan.bundle import SharedArrayBundle
 from ..policy.rules import PolicyError, RuleSet
 from ..policy.tenants import TenantError, TenantManager
 from .metrics import ServiceMetrics
@@ -94,7 +94,7 @@ class DataPlane:
     A pool worker serves these ops from its own process; the
     in-process daemon runs the very same object on its scan thread
     pool.  Each op takes the request ``meta`` dict (``tenant``,
-    ``flow``, ``backend``, ``workers``, ``events``) plus the payload
+    ``flow``, ``backend``, ``events``) plus the payload
     and returns the reply header fields (the caller adds ``id`` and
     ``ok``).  Everything here is thread-safe: leases and session
     tables lock internally and :class:`ServiceMetrics` is
@@ -115,9 +115,7 @@ class DataPlane:
     def scan(self, meta: Dict, payload: bytes) -> Dict:
         tenant = self._tenant(meta.get("tenant"))
         with_events = bool(meta.get("events"))
-        request = ScanRequest(data=payload,
-                              workers=int(meta.get("workers", 1)),
-                              with_events=with_events)
+        request = ScanRequest(data=payload, with_events=with_events)
         registry = tenant.registry if tenant is not None else self.registry
         with registry.lease() as gen:
             outcome = execute(gen.ctx, request, meta.get("backend"))
@@ -344,7 +342,8 @@ class _PipeWorker:
         self._bundles: Dict[str, SharedArrayBundle] = {"": bundle}
         # Workers fork, so ``init`` arrives unpickled: the gateway's
         # own ServiceConfig is the replica's config.
-        self.replica = Replica(init["config"], compiled_from_bundle(bundle),
+        self.replica = Replica(init["config"],
+                               compiled_from_arrays(bundle, bundle.scalars),
                                default["generation"])
         for image in tenants:
             self.control("tenant_create", image)
@@ -358,7 +357,8 @@ class _PipeWorker:
         bundle = None
         if "bundle_meta" in kwargs:
             bundle = SharedArrayBundle.attach(kwargs.pop("bundle_meta"))
-            kwargs["compiled"] = compiled_from_bundle(bundle)
+            kwargs["compiled"] = compiled_from_arrays(bundle,
+                                                      bundle.scalars)
         if "rules" in kwargs:
             kwargs["rules"] = RuleSet.from_specs(kwargs.pop("rules"),
                                                  mode=kwargs.pop("mode"))

@@ -1,11 +1,21 @@
-"""The compile phase: CompiledDictionary + the on-disk artifact cache."""
+"""The compile phase: CompiledDictionary, its one codec and the two
+carriers of that codec — the on-disk artifact cache and the compiled
+shared-memory bundle."""
+
+import io
+import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from repro.core.backends import ScanContext, ScanRequest, execute
 from repro.core.compiled import (COUNTERS, TABLE_FORMAT_VERSION,
                                  ArtifactCache, CompileError,
-                                 compile_dictionary, fingerprint_dictionary)
+                                 compile_dictionary, compiled_arrays,
+                                 compiled_from_arrays,
+                                 fingerprint_dictionary)
+from repro.core.scan import SharedArrayBundle
 from repro.dfa.alphabet import case_fold_32, identity_fold
 
 
@@ -149,8 +159,6 @@ class TestArtifactCache:
         old_path = cache.path_for(built.fingerprint)
         monkeypatch.setattr(compiled_mod, "TABLE_FORMAT_VERSION",
                             TABLE_FORMAT_VERSION + 1)
-        monkeypatch.setattr(compiled_mod, "COMPAT_TABLE_FORMAT_VERSIONS",
-                            (TABLE_FORMAT_VERSION + 1,))
         old_path.rename(cache.path_for(built.fingerprint))
         before = dict(COUNTERS)
         assert cache.load(built.fingerprint) is None
@@ -197,3 +205,149 @@ class TestMatcherCacheIntegration:
         with CellStringMatcher(pats, cache=str(tmp_path)) as m:
             assert _builds() == builds
             assert m.scan("ALPHA beta").total_matches == 2
+
+
+# -- the codec over both carriers ----------------------------------------------------
+
+DICTIONARIES = {
+    "exact-one-slice": dict(patterns=[b"virus", b"worm", b"trojan horse"]),
+    "exact-sliced": dict(
+        patterns=[(chr(65 + i % 26) + chr(65 + i // 26) + "SIG").encode()
+                  for i in range(40)],
+        max_states=60),
+    "regex": dict(patterns=["WO?RM", "V.RUS", "TRO[JY]AN"], regex=True),
+}
+
+CORPUS = b"zzAASIGzz BBSIG ccsig a WORM, a virus, Trojan Horse; wrm trojan " * 40
+
+
+@contextmanager
+def _through_file(compiled, tmp_path):
+    """Store the artifact and load it back from the ``.npz``."""
+    cache = ArtifactCache(tmp_path)
+    cache.store(compiled)
+    loaded = cache.load(compiled.fingerprint)
+    assert loaded is not None
+    yield loaded, None
+
+
+@contextmanager
+def _through_bundle(compiled, tmp_path):
+    """Export the arrays to shared memory and decode them from a second
+    handle attached to the segment (what a pool worker does)."""
+    arrays, scalars = compiled_arrays(compiled)
+    with SharedArrayBundle("compiled", arrays.items(), scalars) as owner:
+        peer = SharedArrayBundle.attach(owner.meta())
+        try:
+            yield compiled_from_arrays(peer, peer.scalars), peer
+        finally:
+            peer.close()
+
+
+CARRIERS = {"file": _through_file, "bundle": _through_bundle}
+
+
+def _same_dfa(a, b):
+    assert np.array_equal(a.transitions, b.transitions)
+    assert np.array_equal(a.final_mask, b.final_mask)
+    assert a.start == b.start and a.outputs == b.outputs
+
+
+class TestCodec:
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    @pytest.mark.parametrize("name", DICTIONARIES)
+    def test_round_trip(self, name, carrier, tmp_path):
+        built = compile_dictionary(**DICTIONARIES[name])
+        compiled_arrays(built)      # derive the union layout up front
+        builds = COUNTERS["automaton_builds"]
+        with CARRIERS[carrier](built, tmp_path) as (loaded, _):
+            assert (loaded.patterns, loaded.fold, loaded.regex,
+                    loaded.max_states, loaded.groups, loaded.fingerprint) \
+                == (built.patterns, built.fold, built.regex,
+                    built.max_states, built.groups, built.fingerprint)
+            assert loaded.num_slices == built.num_slices
+            for a, b in zip(loaded.dfas, built.dfas):
+                _same_dfa(a, b)
+            for field in ("flat", "weights", "cell_base", "starts"):
+                assert np.array_equal(getattr(loaded.fused_table(), field),
+                                      getattr(built.fused_table(), field))
+            backends = ["serial", "chunked", "fused"]
+            if not built.regex:
+                backends.append("hotcold2")
+                _same_dfa(loaded.union_dfa(), built.union_dfa())
+                for got, want in zip(loaded.hot_cold_layout(),
+                                     built.hot_cold_layout()):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(loaded.foldpair_table(),
+                                      built.foldpair_table())
+                assert loaded.partition.groups == built.partition.groups
+                assert loaded.partition.patterns == built.partition.patterns
+            else:
+                assert loaded.partition is None
+            want = built.match_events(CORPUS)
+            assert want and loaded.match_events(CORPUS) == want
+            ctx = ScanContext(loaded)
+            for backend in backends:
+                out = execute(ctx, ScanRequest(data=CORPUS), backend)
+                assert out.total_matches == len(want), backend
+            assert COUNTERS["automaton_builds"] == builds
+
+    def test_bundle_decode_aliases_the_segment(self, tmp_path):
+        built = compile_dictionary(**DICTIONARIES["exact-sliced"])
+        assert built.num_slices > 1
+        with _through_bundle(built, tmp_path) as (loaded, peer):
+            assert np.shares_memory(loaded.dfas[0].transitions,
+                                    peer["trans_0"])
+            assert np.shares_memory(loaded.fused_table().flat,
+                                    peer["fused_flat"])
+            rows = loaded.union_rows()
+            assert np.shares_memory(rows.keys, peer["union_csr_keys"])
+            assert np.shares_memory(rows.vals, peer["union_csr_vals"])
+            del loaded, rows
+
+    def test_file_round_trip_rewrites_the_same_arrays(self, tmp_path):
+        # Re-encoding a decoded dictionary reproduces the stored arrays
+        # exactly: the format is a fixed point of encode ∘ decode.
+        built = compile_dictionary(**DICTIONARIES["exact-sliced"])
+        with _through_file(built, tmp_path) as (loaded, _):
+            want, want_scalars = compiled_arrays(built)
+            got, got_scalars = compiled_arrays(loaded)
+        assert got_scalars == want_scalars
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert np.array_equal(got[key], want[key]), key
+
+    #: Arrays that disagree with what the encoder writes: a slice map
+    #: missing a union state, pattern lengths that overrun the blob, a
+    #: transition table of the wrong dtype.
+    DEFECTS = {
+        "slice-maps-shape": ("hotcold_slice_maps", lambda a: a[:, :-1]),
+        "pattern-lens": ("pattern_lens", lambda a: a + 1),
+        "trans-dtype": ("trans_0", lambda a: a.astype(np.int64)),
+    }
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("carrier", CARRIERS)
+    def test_malformed_arrays_are_refused(self, carrier, defect, tmp_path):
+        built = compile_dictionary(**DICTIONARIES["exact-sliced"])
+        arrays, scalars = compiled_arrays(built)
+        key, spoil = self.DEFECTS[defect]
+        arrays[key] = spoil(arrays[key])
+        if carrier == "bundle":
+            with SharedArrayBundle("compiled", arrays.items(),
+                                   scalars) as seg:
+                with pytest.raises(ValueError):
+                    compiled_from_arrays(seg, seg.scalars)
+            return
+        cache = ArtifactCache(tmp_path)
+        meta = {"magic": "repro-compiled-dictionary",
+                "version": TABLE_FORMAT_VERSION, **scalars}
+        buf = io.BytesIO()
+        np.savez_compressed(buf, meta=np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        cache.directory.mkdir(parents=True, exist_ok=True)
+        cache.path_for(built.fingerprint).write_bytes(buf.getvalue())
+        before = dict(COUNTERS)
+        assert cache.load(built.fingerprint) is None
+        assert COUNTERS["cache_rejects"] == before["cache_rejects"] + 1

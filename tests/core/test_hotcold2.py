@@ -1,7 +1,7 @@
 """The two-byte-stride (pair-symbol) scan path: rank-space pair table
 construction, escape replay, D-invariant per-slice accumulation,
 stream resume across pair boundaries, planner/backend/CLI selection,
-shared-memory transport and the v5/v4 artifact story — every count AND
+shared-memory transport and the artifact story (v5 loads, v4 is a miss) — every count AND
 exit state differentially locked against the per-DFA serial path."""
 
 import random
@@ -11,9 +11,9 @@ import pytest
 
 from repro.core.backends import (BackendError, ScanContext, ScanRequest,
                                  execute)
-from repro.core.compiled import (ArtifactCache, COMPAT_TABLE_FORMAT_VERSIONS,
-                                 COUNTERS, TABLE_FORMAT_VERSION,
-                                 CompileError, compile_dictionary)
+from repro.core.compiled import (ArtifactCache, COUNTERS,
+                                 TABLE_FORMAT_VERSION, CompileError,
+                                 compile_dictionary)
 from repro.core.scan import (HOTCOLD_LANES_TARGET, HotCold2Kernel,
                              SharedArrayBundle, bundle_from_table,
                              count_arr,
@@ -517,15 +517,14 @@ class TestArtifactV5:
         got, _ = count_arr(hc2, arr, 8, hc2.start, weights=hc2.weights)
         assert int(got) == len(built.match_events(raw))
 
-    def test_v4_file_still_loads_and_scans(self, tmp_path):
+    def test_v4_file_is_a_miss_and_recompiles(self, tmp_path):
         # A faithful v4 artifact: strip the v5-only rows, re-add the
         # dense union matrix, stamp version 4 and store under the v4
-        # name — the loader must accept it and the pair path must
-        # derive its foldpair lazily.
+        # name — the loader must not read it: a plain miss, then a
+        # recompile whose pair path counts exactly.
         import io
         import json
 
-        assert 4 in COMPAT_TABLE_FORMAT_VERSIONS
         # multi-slice so union rows are exercised
         compiled = compiled_with_slices(2)
         cache = ArtifactCache(tmp_path)
@@ -551,12 +550,20 @@ class TestArtifactV5:
         v4.write_bytes(buf.getvalue())
         v5.unlink()
 
-        loaded = cache.load(compiled.fingerprint)
-        assert loaded is not None
+        before = dict(COUNTERS)
+        assert cache.load(compiled.fingerprint) is None
+        assert COUNTERS["cache_misses"] == before["cache_misses"] + 1
+        assert COUNTERS["cache_hits"] == before["cache_hits"]
+        recompiled = compile_dictionary(compiled.patterns, fold=compiled.fold,
+                                        max_states=compiled.max_states,
+                                        cache=cache)
+        assert COUNTERS["automaton_builds"] > before["automaton_builds"]
+        assert recompiled.fingerprint == compiled.fingerprint
+        assert v5.exists() and v4.exists()      # old file left alone
         rng = random.Random(17)
         raw = _corpus(rng, 8_000)
         want, _ = per_dfa_reference(compiled, raw, 8, weighted=True)
-        hc2 = loaded.hot_cold2_scanner()
+        hc2 = recompiled.hot_cold2_scanner()
         got, _ = hc2.count_arr_per_dfa(np.frombuffer(raw, np.uint8), 8,
                                        weights=hc2.weights)
         assert np.array_equal(got, want)

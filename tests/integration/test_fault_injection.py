@@ -2,18 +2,19 @@
 
 Every tile run is verified against the reference DFA.  These tests
 deliberately corrupt the system — the STT image in the local store, the
-saved states, the filter pack — and assert the corruption is *detected*,
+saved states, the stored artifact — and assert the corruption is *detected*,
 not silently absorbed.  A verifier that never fires is worthless; this is
 its test."""
 
 import numpy as np
 import pytest
 
-from repro.core.artifact import ArtifactError, pack_filter, unpack_filter
+from repro.core.backends import ScanContext, ScanRequest, execute
+from repro.core.compiled import COUNTERS, ArtifactCache, compile_dictionary
 from repro.core.planner import plan_tile
 from repro.core.tile import DFATile, TileError
-from repro.dfa import build_dfa, case_fold_32
-from repro.workloads import plant_matches, random_payload, \
+from repro.dfa import build_dfa
+from repro.workloads import ascii_keywords, plant_matches, random_payload, \
     random_signatures
 
 PATTERNS = random_signatures(6, 3, 6, seed=70)
@@ -98,14 +99,45 @@ class TestStateAreaCorruption:
 
 
 class TestArtifactCorruption:
-    def test_every_section_protected(self):
-        fold = case_fold_32()
-        dfa = build_dfa(PATTERNS, 32)
-        blob = pack_filter(dfa, fold)
-        # Hit header, fold table, transitions, finals, outputs, crc.
-        probe_points = [5, 100, 400, len(blob) - 30, len(blob) - 2]
-        for pos in probe_points:
-            corrupted = bytearray(blob)
-            corrupted[pos] ^= 0x08
-            with pytest.raises(ArtifactError):
-                unpack_filter(bytes(corrupted))
+    """Bit flips across a stored ``.npz`` artifact: each flip is either
+    rejected (a cache miss, then a correct recompile) or loads a
+    dictionary whose every in-process backend counts exactly — never a
+    crash, never a wrong count."""
+
+    BACKENDS = ("serial", "chunked", "fused", "hotcold2")
+
+    def test_every_section_protected(self, tmp_path):
+        dictionaries = [(ascii_keywords(200, 3), 400),    # three slices
+                        ([b"virus", b"worm", b"trojan horse"], 1 << 30)]
+        rejected = 0
+        for i, (patterns, max_states) in enumerate(dictionaries):
+            cache = ArtifactCache(tmp_path / str(i))
+            built = compile_dictionary(patterns, max_states=max_states,
+                                       cache=cache)
+            raw = plant_matches(random_payload(4096, seed=3), patterns[:8],
+                                12, seed=4)
+            want = len(built.match_events(raw))
+            path = cache.path_for(built.fingerprint)
+            blob = path.read_bytes()
+            # Local headers, member data, the central directory, the end.
+            offsets = {int(x) for x in np.linspace(0, len(blob) - 1, 12)}
+            for k, pos in enumerate(sorted(offsets | {len(blob) - 2})):
+                corrupted = bytearray(blob)
+                corrupted[pos] ^= 1 << (k % 8)
+                path.write_bytes(bytes(corrupted))
+                before = dict(COUNTERS)
+                loaded = cache.load(built.fingerprint)
+                if loaded is None:
+                    rejected += 1
+                    assert COUNTERS["cache_rejects"] == \
+                        before["cache_rejects"] + 1
+                    loaded = compile_dictionary(
+                        patterns, max_states=max_states, cache=cache)
+                    assert COUNTERS["automaton_builds"] > \
+                        before["automaton_builds"]
+                ctx = ScanContext(loaded)
+                for name in self.BACKENDS:
+                    got = execute(ctx, ScanRequest(data=raw), name)
+                    assert got.total_matches == want, \
+                        f"{name}: flip at byte {pos} of artifact {i}"
+        assert rejected > 0
