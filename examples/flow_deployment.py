@@ -9,10 +9,11 @@ A realistic operator loop on top of the library:
 2. on the "appliance" side, compile the same rules through the same
    cache: the artifact loads with zero automaton builds (a corrupt or
    stale file would be a miss and a recompile, never a wrong scan);
-3. scan interleaved per-connection traffic with :class:`FlowMatcher`,
-   which keeps DFA state per flow so signatures split across packets of
-   the same connection still match — the property the paper's 16 lanes
-   (16 flows) rely on.
+3. scan interleaved per-connection traffic with a
+   :class:`SessionScanner` over the loaded dictionary, which keeps DFA
+   state per flow so signatures split across packets of the same
+   connection still match — the property the paper's 16 lanes (16
+   flows) rely on.
 
 Run:  python examples/flow_deployment.py
 """
@@ -22,7 +23,7 @@ import tempfile
 import numpy as np
 
 from repro.core.compiled import COUNTERS, ArtifactCache, compile_dictionary
-from repro.core.flows import FlowMatcher
+from repro.service.sessions import SessionScanner
 from repro.workloads import http_requests
 
 
@@ -45,10 +46,9 @@ def main() -> None:
         print(f"loaded     : {loaded.total_states} states, fold width "
               f"{loaded.fold.width}, "
               f"{COUNTERS['automaton_builds'] - builds} automaton builds\n")
-    (loaded_dfa,), loaded_fold = loaded.dfas, loaded.fold
 
     # -- 3. interleaved flow traffic -----------------------------------------
-    matcher = FlowMatcher(loaded_dfa)
+    sessions = SessionScanner(loaded)
     rng = np.random.default_rng(11)
     requests = http_requests(120, seed=12, inject=[RULES[0], RULES[2]])
 
@@ -56,12 +56,11 @@ def main() -> None:
     # but packets stay ordered within their flow (TCP's guarantee).
     tagged = []
     for flow_id, request in enumerate(requests):
-        folded = loaded_fold.fold_bytes(request)
         pos = 0
         seq = 0
-        while pos < len(folded):
+        while pos < len(request):
             size = int(rng.integers(20, 120))
-            tagged.append((f"conn-{flow_id}", seq, folded[pos:pos + size],
+            tagged.append((f"conn-{flow_id}", seq, request[pos:pos + size],
                            rng.random()))
             pos += size
             seq += 1
@@ -70,18 +69,20 @@ def main() -> None:
     tagged.sort(key=lambda item: item[1])  # stable: seq asc, flows mixed
     packets = [(fid, payload) for fid, _, payload, _ in tagged]
 
-    counts = matcher.scan_batch(packets)
+    counts = [sessions.scan_packet(fid, payload)[0]
+              for fid, payload in packets]
     flagged = {fid for (fid, _), c in zip(packets, counts) if c}
     print(f"traffic    : {len(requests)} connections, "
           f"{len(packets)} packets")
-    print(f"alerts     : {matcher.total_matches()} rule hits across "
+    print(f"alerts     : {sessions.total_matches()} rule hits across "
           f"{len(flagged)} flagged connections")
 
     # Cross-check: whole-request scanning must agree.
-    expected = sum(loaded_dfa.count_matches(loaded_fold.fold_bytes(r))
-                   for r in requests)
+    expected = sum(len(loaded.match_events(r)) for r in requests)
     print(f"cross-check: whole-request scan finds {expected} "
-          f"(equal: {expected == matcher.total_matches()})")
+          f"(equal: {expected == sessions.total_matches()})")
+    if expected != sessions.total_matches():
+        raise SystemExit("flow totals disagree with the whole-request scan")
 
 
 if __name__ == "__main__":

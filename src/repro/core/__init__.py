@@ -17,7 +17,6 @@ from .composition import (CompositionError, CompositionReport,
                           TileComposition, mixed, parallel, series)
 from .compressed import CompressedSTT, CompressionStats
 from .scan.driver import StreamResult, VectorDFAEngine
-from .flows import FlowError, FlowMatcher
 from .interleave import (InterleaveError, block_to_streams, deinterleave,
                          interleave_block, interleave_streams)
 from .kernels import (KERNEL_SPECS, SIMD_LANES, BuiltKernel, KernelBuilder,
@@ -66,8 +65,6 @@ __all__ = [
     "series",
     "StreamResult",
     "VectorDFAEngine",
-    "FlowError",
-    "FlowMatcher",
     "InterleaveError",
     "block_to_streams",
     "deinterleave",

@@ -15,7 +15,7 @@ Registered backends, and the paper section each reproduces:
 ========== ======================================================== =======
 name       strategy                                                 paper
 ========== ======================================================== =======
-serial     reference event walk over every slice DFA                §3
+serial     scalar event walk over every slice DFA                   §3
 chunked    in-process speculative fixpoint over the flat table      §4
 fused      stacked multi-slice STT, one pass for every slice        §6
 hotcold2   union table, pair-symbol hot rows, two bytes per gather  §4
@@ -266,30 +266,47 @@ def backend_specs() -> List[Tuple[str, str, str]]:
 # -- backends ----------------------------------------------------------------------
 
 
+def _serial_scan(compiled: CompiledDictionary, data, windows,
+                 backend: str, with_events: bool,
+                 stats: Dict[str, object]) -> ScanOutcome:
+    """Every slice's scalar walk from its start state over each window
+    ``(lo, hi)`` of ``data``; events in block coordinates, sorted by
+    ``(end, pattern)`` like :meth:`CompiledDictionary.match_events`."""
+    found: List[Tuple[int, int]] = []
+    for lo, hi in windows:
+        folded = compiled.fold.fold_bytes(data[lo:hi])
+        for walk, group in zip(compiled.walks(), compiled.groups):
+            found.extend((lo + end, group[local])
+                         for end, local in walk.events(walk.start, folded))
+    found.sort()
+    return ScanOutcome(
+        total_matches=len(found),
+        bytes_scanned=len(data),
+        backend=backend,
+        events=[MatchEvent(end, pat) for end, pat in found]
+        if with_events else None,
+        pattern_counts=dict(Counter(pat for _, pat in found)),
+        stats=stats)
+
+
 @register_backend
 class SerialBackend(ScanBackend):
-    """Reference event walk: every slice DFA interprets the folded
-    input with per-state outputs — full reporting, ground-truth
-    semantics, pure-Python speed."""
+    """Reference event semantics on the scalar walk: every slice DFA
+    walks the folded input from its start state, reporting per-state
+    outputs — full reporting, one pointer chase per byte and slice."""
 
     name = "serial"
     kinds = ("block",)
     supports_events = True
     paper_section = "§3 (reference DFA semantics)"
-    description = "event-reporting reference walk over every slice"
+    description = "event-reporting scalar walk over every slice"
 
     def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
         self._require_kind(request)
-        data = request.data
-        events = ctx.compiled.match_events(data)
-        counts = dict(Counter(e.pattern for e in events))
-        return ScanOutcome(
-            total_matches=len(events),
-            bytes_scanned=len(data),
-            backend=self.name,
-            events=events if request.with_events else None,
-            pattern_counts=counts,
-            stats={"slices": ctx.compiled.num_slices})
+        return _serial_scan(ctx.compiled, request.data,
+                            [(0, len(request.data))], self.name,
+                            request.with_events,
+                            {"slices": ctx.compiled.num_slices})
 
 
 @register_backend
@@ -544,8 +561,8 @@ def _plan(ctx: ScanContext, request: ScanRequest,
 def _segment_runner(ctx: ScanContext, request: ScanRequest, plan):
     """The prefilter stage's verifier: run the disjoint candidate
     windows through the same kernel family the bare backend would use
-    (or replay the reference event walk per window for the serial
-    backend, shifting event offsets back into block coordinates)."""
+    (or the serial backend's scalar walk per window, shifting event
+    offsets back into block coordinates)."""
     from .scan.prefilter import count_segments
 
     def run_segments(arr: np.ndarray, segments: np.ndarray,
@@ -553,21 +570,8 @@ def _segment_runner(ctx: ScanContext, request: ScanRequest, plan):
         stats: Dict[str, object] = {"slices": ctx.compiled.num_slices,
                                     "prefilter": pstats}
         if plan.backend == "serial":
-            events: List[MatchEvent] = []
-            for lo, hi in segments.tolist():
-                events.extend(
-                    MatchEvent(ev.end + lo, ev.pattern)
-                    for ev in ctx.compiled.match_events(
-                        arr[lo:hi].tobytes()))
-            events.sort(key=lambda e: (e.end, e.pattern))
-            return ScanOutcome(
-                total_matches=len(events),
-                bytes_scanned=arr.size,
-                backend=plan.backend,
-                events=events if request.with_events else None,
-                pattern_counts=dict(
-                    Counter(e.pattern for e in events)),
-                stats=stats)
+            return _serial_scan(ctx.compiled, arr, segments.tolist(),
+                                plan.backend, request.with_events, stats)
         kname = _VERIFY_KERNELS.get(plan.backend,
                                     ctx.batch_kernel_name())
         kern = ctx.kernel(kname)

@@ -49,7 +49,7 @@ from ..dfa.partition import PartitionedDictionary, partition_patterns
 from .compressed import ColdRowStore
 from .scan import (HOT_BUDGET_BYTES, FlatScanner, FusedScanner,
                    FusedTable, HotCold2Scanner, HotCold2Table,
-                   build_flat_table, build_hot_cold2_table,
+                   SliceWalk, build_flat_table, build_hot_cold2_table,
                    build_weight_table, fuse_tables, pair_symbol_table,
                    project_states, visit_order)
 from .scan.hotcold2 import rank_dtype
@@ -208,6 +208,8 @@ class CompiledDictionary:
     _pair_foldpair: Optional[np.ndarray] = field(default=None, repr=False)
     _prefilter: Optional[PackedPrefilter] = field(default=None, repr=False)
     _prefilter_built: bool = field(default=False, repr=False)
+    _walks: Optional[Tuple[SliceWalk, ...]] = \
+        field(default=None, repr=False)
 
     # -- shape --------------------------------------------------------------------
 
@@ -443,6 +445,15 @@ class CompiledDictionary:
         if self._hotcold2_scanner is None:
             self._hotcold2_scanner = HotCold2Scanner(table)
         return self._hotcold2_scanner
+
+    def walks(self) -> Tuple[SliceWalk, ...]:
+        """Per-slice :class:`~repro.core.scan.walk.SliceWalk` tables,
+        the scalar walk every single-stream scan runs (flow sessions,
+        the ``serial`` backend, rule attribution).  Derived on first
+        use and cached on the object; never serialized."""
+        if self._walks is None:
+            self._walks = tuple(SliceWalk(dfa) for dfa in self.dfas)
+        return self._walks
 
     # -- screening ------------------------------------------------------------------
 

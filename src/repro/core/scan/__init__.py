@@ -13,7 +13,8 @@ driver, and the staged-pipeline machinery:
   export/attach path every kernel uses;
 * :mod:`.kernels` — the :class:`ScanKernel` protocol and registry;
 * :mod:`.prefilter` — packed multi-byte fingerprint screening stage;
-* :mod:`.pipeline` — explicit staged :class:`ScanPipeline` assembly.
+* :mod:`.pipeline` — explicit staged :class:`ScanPipeline` assembly;
+* :mod:`.walk` — the scalar single-stream walk over one slice DFA.
 
 Import scan names from this package (or the module defining them).
 """
@@ -56,6 +57,7 @@ from .bundle import (
     bundle_from_table,
     table_from_bundle,
 )
+from .walk import SliceWalk
 from .kernels import (
     KERNELS,
     FlatKernel,
@@ -76,6 +78,7 @@ __all__ = [
     "HotCold2Table",
     "HotCold2Scanner",
     "ScanDetail",
+    "SliceWalk",
     "build_flat_table",
     "build_weight_table",
     "build_hot_cold2_table",

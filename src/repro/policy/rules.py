@@ -17,9 +17,10 @@ slice projection (``compiled.pattern_locations()``):
   zero extra work on the scan path;
 * a **mixed** slice (patterns of different rules share one DFA) is
   resolved exactly, but only for packets where that slice actually
-  reported matches: a single walk of the folded payload from the
-  flow's pre-packet state collects the slice DFA's output ids, which
-  the local→rule table turns into per-rule counts.
+  reported matches: a replay of the folded payload on the slice's
+  scalar walk, from the flow's pre-packet state, collects the slice
+  DFA's output ids, which the local→rule table turns into per-rule
+  counts.
 
 Since most packets match nothing (the NIDS steady state), attribution
 is free in the common case and exact always.
@@ -193,8 +194,8 @@ class CompiledRuleSet:
 
     Holds, per slice, either the shared rule-index tuple every pattern
     of the slice maps to (*pure* — delta attribution is table-free) or
-    the ``local output id → rule indices`` map plus the slice DFA for
-    the exact resolve walk (*mixed*).
+    the ``local output id → rule indices`` map for the exact resolve
+    walk (*mixed*).
     """
 
     def __init__(self, ruleset: RuleSet, compiled,
@@ -275,22 +276,16 @@ class CompiledRuleSet:
     def _resolve_walk(self, slice_index: int, pre_state: int,
                       folded: bytes) -> Dict[int, int]:
         """Exact per-rule counts for one mixed slice: replay the folded
-        payload from the flow's pre-packet state, crediting each output
-        id's rules.  Runs only for match-bearing packets of mixed
-        slices, so the python-speed walk stays off the fast path."""
-        dfa = self.compiled.dfas[slice_index]
+        payload on the slice's scalar walk from the flow's pre-packet
+        state, crediting each output id's rules.  Runs only for
+        match-bearing packets of mixed slices, so the replay stays off
+        the fast path."""
+        walk = self.compiled.walks()[slice_index]
         locals_map = self._mixed[slice_index]
-        table = dfa.transitions
-        outputs = dfa.outputs
         counts: Dict[int, int] = {}
-        state = pre_state
-        for symbol in folded:
-            state = int(table[state, symbol])
-            out = outputs.get(state)
-            if out:
-                for local in out:
-                    for ri in locals_map.get(local, ()):
-                        counts[ri] = counts.get(ri, 0) + 1
+        for _, local in walk.events(pre_state, folded):
+            for ri in locals_map.get(local, ()):
+                counts[ri] = counts.get(ri, 0) + 1
         return counts
 
     def attribute(self, detail) -> Dict[int, int]:

@@ -45,7 +45,6 @@ class ScanResult:
     bytes_scanned: int
     generation: int
     backend: str
-    workers: int
     seconds: float
     events: Optional[List[Tuple[int, int]]] = None
     events_truncated: int = 0
@@ -169,7 +168,6 @@ class ServiceClient:
             bytes_scanned=int(h["bytes"]),
             generation=int(h["generation"]),
             backend=str(h.get("backend", "")),
-            workers=int(h.get("workers", 1)),
             seconds=float(h.get("seconds", 0.0)),
             events=[(int(e[0]), int(e[1])) for e in h["events"]]
             if "events" in h else None,

@@ -3,10 +3,12 @@
 The daemon's ``FLOW`` verb is the paper's "16 distinct input streams"
 made service-shaped: each client flow is one logical byte stream, split
 across packets, and a signature straddling two packets of the same flow
-must still match.  :class:`SessionScanner` maps flow ids onto one
-:class:`~repro.core.flows.FlowMatcher` per dictionary slice (the same
-DFA state persistence the tile's state-save area provides), folds raw
-payloads once, and keeps per-flow lifetime totals.
+must still match.  :class:`SessionScanner` keeps one LRU table of flows;
+each flow's record holds its per-slice DFA states (the same state
+persistence the tile's state-save area provides) and its lifetime
+totals.  A packet is folded once and every slice resumes from the
+flow's state on the dictionary's scalar walk
+(:meth:`~repro.core.compiled.CompiledDictionary.walks`).
 
 Reload semantics — *restart at generation*: each dictionary generation
 owns its own ``SessionScanner``; when the registry promotes a new
@@ -24,9 +26,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Tuple
 
-from ..core.flows import FlowError, FlowMatcher
-
 __all__ = ["PacketScan", "SessionScanner", "FlowError"]
+
+
+class FlowError(Exception):
+    """Raised for unknown flows or a full flow table."""
 
 
 @dataclass
@@ -49,79 +53,89 @@ class PacketScan:
     evicted: List[Hashable] = field(default_factory=list)
 
 
+class _Flow:
+    """One flow's record: the state each slice resumes from (replaced,
+    never mutated, so a :class:`PacketScan` can keep the old list) and
+    the lifetime bytes and matches."""
+
+    __slots__ = ("states", "bytes_seen", "matches")
+
+    def __init__(self, states: List[int]) -> None:
+        self.states = states
+        self.bytes_seen = 0
+        self.matches = 0
+
+
 class SessionScanner:
     """Per-generation flow-session table spanning every dictionary slice.
 
-    One :class:`FlowMatcher` per slice DFA, all fed the same folded
-    payloads in the same order, so their LRU tables stay in lockstep and
-    an eviction drops the same flow everywhere.  Thread-safe: packets of
-    different flows may arrive on different executor threads, and a
-    per-scanner lock serializes them (per-flow scans must serialize
-    anyway to chain DFA states).
+    One insertion-ordered table: every scan moves its flow to the back,
+    so the front is the least-recently-scanned flow, the one ``lru``
+    evicts when a new flow finds the table full (``reject`` refuses the
+    new flow instead).  Thread-safe: packets of different flows may
+    arrive on different executor threads, and a per-scanner lock
+    serializes them (per-flow scans must serialize anyway to chain DFA
+    states).
     """
 
     def __init__(self, compiled, max_flows: int = 65536,
                  on_full: str = "lru") -> None:
         if max_flows < 1:
             raise FlowError("max_flows must be positive")
+        if on_full not in ("reject", "lru"):
+            raise FlowError(
+                f"on_full must be 'reject' or 'lru', got {on_full!r}")
         self.compiled = compiled
         self.max_flows = max_flows
         self.on_full = on_full
         self._lock = threading.Lock()
-        self._matchers: List[FlowMatcher] = [
-            FlowMatcher(dfa, max_flows, on_full=on_full)
-            for dfa in compiled.dfas]
-        # Lifetime (bytes, matches) per live flow — survives reloads via
-        # carry_from, pruned when the LRU policy evicts the flow.
-        self._totals: Dict[Hashable, List[int]] = {}
-        self._seen_evictions = 0
-        # Evictions inherited from retired generations (carry_from), so
-        # the operator-facing counter is cumulative across reloads.
-        self._carried_evictions = 0
-        # Evictions a successor already adopted — carry_from may run
-        # twice on the same retiring scanner (once at promote, once
-        # when its last lease drains) and must not double-count.
-        self._evictions_handed_off = 0
+        self._starts = [dfa.start for dfa in compiled.dfas]
+        self._flows: Dict[Hashable, _Flow] = {}
+        # Cumulative across reloads: carry_from moves a retiring
+        # scanner's count here along with its flows.
+        self._evictions = 0
 
     # -- introspection -------------------------------------------------------------
 
     @property
     def num_flows(self) -> int:
         with self._lock:
-            return len(self._totals)
+            return len(self._flows)
 
     @property
     def evictions(self) -> int:
-        own = self._matchers[0].evictions if self._matchers else 0
-        return own + self._carried_evictions
+        return self._evictions
 
     def flow_ids(self) -> List[Hashable]:
+        """Live flow ids, least-recently-scanned first."""
         with self._lock:
-            return list(self._totals)
+            return list(self._flows)
 
     def stats(self) -> Dict[str, int]:
         """Operator-facing session-table counters (STATS surface)."""
         with self._lock:
             return {
-                "flows": len(self._totals),
+                "flows": len(self._flows),
                 "evictions": self.evictions,
                 "max_flows": self.max_flows,
             }
 
     # -- scanning ------------------------------------------------------------------
 
-    def _prune_evicted(self) -> List[Hashable]:
-        """Drop totals of flows the LRU policy evicted; returns their
-        ids (only walks the table when an eviction happened)."""
-        evictions = self._matchers[0].evictions
-        if evictions == self._seen_evictions:
-            return []
-        self._seen_evictions = evictions
-        live = set(self._matchers[0].flow_ids())
-        dead = [fid for fid in self._totals if fid not in live]
-        for fid in dead:
-            del self._totals[fid]
-        return dead
+    def _admit(self, flow_id: Hashable, evicted: List[Hashable]) -> _Flow:
+        """A new flow's record at the back of the table; a full table
+        evicts its front into ``evicted`` (``lru``) or raises
+        (``reject``).  Caller holds the lock."""
+        if len(self._flows) >= self.max_flows:
+            if self.on_full == "reject":
+                raise FlowError(f"flow table full ({self.max_flows}); "
+                                f"close flows first")
+            victim = next(iter(self._flows))
+            del self._flows[victim]
+            self._evictions += 1
+            evicted.append(victim)
+        flow = self._flows[flow_id] = _Flow(self._starts)
+        return flow
 
     def scan_packet(self, flow_id: Hashable,
                     payload: bytes) -> Tuple[int, int, int]:
@@ -143,19 +157,26 @@ class SessionScanner:
         attribute matches to rules without a second scan of the common
         (no-match) case.
         """
+        walks = self.compiled.walks()
         with self._lock:
             folded = self.compiled.fold.fold_bytes(payload)
-            per_slice: List[int] = []
-            pre_states: List[int] = []
-            for matcher in self._matchers:
-                pre_states.append(matcher.peek_state(flow_id))
-                per_slice.append(matcher.scan_packet(flow_id, folded))
+            evicted: List[Hashable] = []
+            flow = self._flows.pop(flow_id, None)
+            if flow is None:
+                flow = self._admit(flow_id, evicted)
+            else:
+                self._flows[flow_id] = flow
+            pre_states = flow.states
+            per_slice = [0] * len(walks)
+            if folded:
+                walked = [walk.count(state, folded)
+                          for walk, state in zip(walks, pre_states)]
+                flow.states = [state for state, _ in walked]
+                per_slice = [count for _, count in walked]
             new = sum(per_slice)
-            evicted = self._prune_evicted()
-            total = self._totals.setdefault(flow_id, [0, 0])
-            total[0] += len(payload)
-            total[1] += new
-            return PacketScan(new=new, flow_total=total[1],
+            flow.bytes_seen += len(payload)
+            flow.matches += new
+            return PacketScan(new=new, flow_total=flow.matches,
                               per_slice=per_slice, pre_states=pre_states,
                               folded=folded, evicted=evicted)
 
@@ -163,72 +184,53 @@ class SessionScanner:
         """Evict one flow; returns its lifetime ``(bytes, matches)``
         (including bytes/matches accrued under earlier generations)."""
         with self._lock:
-            total = self._totals.pop(flow_id, None)
-            if total is None:
+            flow = self._flows.pop(flow_id, None)
+            if flow is None:
                 raise FlowError(f"unknown flow {flow_id!r}")
-            for matcher in self._matchers:
-                try:
-                    matcher.close_flow(flow_id)
-                except FlowError:
-                    # The flow never sent a packet under this
-                    # generation (registered by carry_from only).
-                    pass
-            return total[0], total[1]
+            return flow.bytes_seen, flow.matches
 
     def total_matches(self) -> int:
         with self._lock:
-            return sum(t[1] for t in self._totals.values())
+            return sum(flow.matches for flow in self._flows.values())
 
     # -- reload boundary ----------------------------------------------------------
 
     def carry_from(self, old: "SessionScanner") -> int:
         """Adopt the live flows of a retiring generation's scanner.
 
-        Lifetime totals *move* (the old table is emptied); DFA states
-        do not transfer (restart-at-generation).  Flows are
-        re-registered in this generation's matchers, in the old LRU
-        order, so they stay first in line for eviction and the tables
-        remain consistent.  Move semantics make the carry idempotent-
-        by-delta: the registry runs it again when the retired
-        generation's last lease drains, so packets scanned through a
-        lease that survived the promote are merged too, not lost.
-        Returns the number of flows carried.
+        Lifetime totals and the eviction count *move* (the old table
+        is emptied); DFA states do not transfer (restart-at-generation).
+        Flows are admitted in the old LRU order, so they stay first in
+        line for eviction; a table too small for them evicts its front
+        as a scan would, and a full ``reject`` table drops the flows
+        that do not fit.
+        Move semantics make the carry idempotent-by-delta: the registry
+        runs it again when the retired generation's last lease drains,
+        so packets scanned through a lease that survived the promote
+        are merged too, not lost.  Returns the number of flows carried.
         """
         with old._lock:
-            # Old LRU order (least-recently-scanned first) so recency
-            # survives the swap.
-            self._carried_evictions += \
-                old.evictions - old._evictions_handed_off
-            old._evictions_handed_off = old.evictions
-            order = old._matchers[0].flow_ids() if old._matchers else []
-            totals = {fid: list(old._totals[fid]) for fid in order
-                      if fid in old._totals}
-            for fid, t in old._totals.items():
-                if fid not in totals:
-                    totals[fid] = list(t)
-            old._totals.clear()
+            evictions, old._evictions = old._evictions, 0
+            moved = list(old._flows.items())
+            old._flows.clear()
         with self._lock:
+            self._evictions += evictions
             carried = 0
-            for fid, t in totals.items():
-                cur = self._totals.get(fid)
-                if cur is not None:
-                    # The flow already scanned under this generation
-                    # (promotion raced the carry): merge lifetimes.
-                    cur[0] += t[0]
-                    cur[1] += t[1]
-                    carried += 1
-                    continue
-                self._totals[fid] = t
+            for fid, src in moved:
+                cur = self._flows.get(fid)
+                if cur is None:
+                    try:
+                        cur = self._admit(fid, [])
+                    except FlowError:
+                        continue
+                # A flow that already scanned under this generation
+                # (promotion raced the carry) merges its lifetimes.
+                cur.bytes_seen += src.bytes_seen
+                cur.matches += src.matches
                 carried += 1
-                for matcher in self._matchers:
-                    if fid not in matcher:
-                        matcher.touch(fid)
-            # Touching may itself evict (old table larger than our
-            # budget); drop the victims' totals immediately.
-            self._prune_evicted()
             return carried
 
     def __repr__(self) -> str:
         return (f"SessionScanner(flows={self.num_flows}, "
-                f"slices={len(self._matchers)}, "
+                f"slices={self.compiled.num_slices}, "
                 f"max_flows={self.max_flows}, on_full={self.on_full!r})")

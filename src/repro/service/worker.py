@@ -42,13 +42,13 @@ from typing import Dict, List, Optional
 
 from ..core.backends import BackendError, ScanRequest, execute
 from ..core.compiled import COUNTERS, CompileError, compiled_from_arrays
-from ..core.flows import FlowError
 from ..core.scan.bundle import SharedArrayBundle
 from ..policy.rules import PolicyError, RuleSet
 from ..policy.tenants import TenantError, TenantManager
 from .metrics import ServiceMetrics
 from .protocol import ProtocolError
 from .registry import DictionaryRegistry, RegistryError
+from .sessions import FlowError
 
 __all__ = ["DataPlane", "LocalFleet", "Replica", "WorkerOpError",
            "error_reply", "worker_main"]
@@ -127,7 +127,6 @@ class DataPlane:
                 "matches": outcome.total_matches,
                 "bytes": outcome.bytes_scanned,
                 "backend": outcome.backend,
-                "workers": outcome.workers,
                 "seconds": outcome.seconds,
             }
             if tenant is not None:

@@ -208,10 +208,10 @@ class TestPolicyPathDifferential:
             # DFA state on both paths.
             with tenant.registry.lease() as gen:
                 for fid in flows:
-                    got = [m.peek_state(fid)
-                           for m in gen.sessions._matchers]
-                    want = [m.peek_state(fid)
-                            for m in reference._matchers]
+                    got = gen.sessions.scan_packet_detail(
+                        fid, b"").pre_states
+                    want = reference.scan_packet_detail(
+                        fid, b"").pre_states
                     assert got == want, f"exit states diverged for {fid}"
         finally:
             tenant.close()

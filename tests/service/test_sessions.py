@@ -4,8 +4,7 @@ boundary (restart-at-generation semantics)."""
 import pytest
 
 from repro.core.compiled import compile_dictionary
-from repro.core.flows import FlowError
-from repro.service.sessions import SessionScanner
+from repro.service.sessions import FlowError, SessionScanner
 
 
 @pytest.fixture(scope="module")
