@@ -544,8 +544,8 @@ def _plan(ctx: ScanContext, request: ScanRequest,
         return ExecutionPlan(name, "explicitly requested",
                              prefilter=request.prefilter is True)
     nbytes = len(request.data) if request.data is not None else None
-    screenable = (request.kind == "block"
-                  and ctx.compiled.prefilter() is not None)
+    # Decided without building the mask: most requests never mount it.
+    screenable = request.kind == "block" and ctx.compiled.screenable
     return plan_backend(nbytes=nbytes,
                         streaming=request.kind != "block",
                         workers=request.workers,

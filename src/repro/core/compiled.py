@@ -157,13 +157,20 @@ def fingerprint_dictionary(patterns: Sequence[Pattern],
     version deliberately does *not*: it belongs to the cache key, so one
     logical dictionary keeps one fingerprint across format upgrades.
     """
+    return _fingerprint(_as_bytes(patterns), fold, regex, max_states)
+
+
+def _fingerprint(raw: Tuple[bytes, ...], fold: FoldMap, regex: bool,
+                 max_states: int) -> str:
+    """:func:`fingerprint_dictionary` over patterns already converted
+    by :func:`_as_bytes`."""
     h = hashlib.sha256()
     h.update(b"repro-dict-v1")
     h.update(bytes([1 if regex else 0]))
     h.update(int(max_states).to_bytes(8, "big"))
     h.update(bytes(fold.table))
     h.update(int(fold.width).to_bytes(2, "big"))
-    for p in _as_bytes(patterns):
+    for p in raw:
         h.update(len(p).to_bytes(8, "big"))
         h.update(p)
     return h.hexdigest()
@@ -208,6 +215,7 @@ class CompiledDictionary:
     _pair_foldpair: Optional[np.ndarray] = field(default=None, repr=False)
     _prefilter: Optional[PackedPrefilter] = field(default=None, repr=False)
     _prefilter_built: bool = field(default=False, repr=False)
+    _screenable: Optional[bool] = field(default=None, repr=False)
     _walks: Optional[Tuple[SliceWalk, ...]] = \
         field(default=None, repr=False)
 
@@ -457,14 +465,25 @@ class CompiledDictionary:
 
     # -- screening ------------------------------------------------------------------
 
+    @property
+    def screenable(self) -> bool:
+        """Whether :meth:`prefilter` returns a stage, decided without
+        building the mask: not regex mode (match ends are not delimited
+        by literal trigrams), no pattern shorter than 3 bytes, and a
+        folded alphabet whose trigram mask stays under the cache
+        ceiling.  The planner reads this on every request, so it is
+        cached."""
+        if self._screenable is None:
+            self._screenable = not self.regex and PackedPrefilter.supports(
+                self.patterns, self.fold.width)
+        return self._screenable
+
     def prefilter(self) -> Optional[PackedPrefilter]:
         """The packed trigram screening stage for this dictionary, or
-        ``None`` when it is not screenable: regex mode (match ends are
-        not delimited by literal trigrams), a pattern shorter than 3
-        bytes, or a folded alphabet whose trigram mask would blow the
-        cache ceiling.  Built once and cached."""
+        ``None`` when it is not :attr:`screenable`.  Built on the first
+        request that mounts it and cached."""
         if not self._prefilter_built:
-            if not self.regex:
+            if self.screenable:
                 self._prefilter = PackedPrefilter.build(
                     self.patterns, self.fold.np_table, self.fold.width)
             self._prefilter_built = True
@@ -579,7 +598,7 @@ def compile_dictionary(patterns: Sequence[Pattern],
     if fold is None:
         fold = case_fold_32()
     raw = _as_bytes(patterns)
-    fingerprint = fingerprint_dictionary(raw, fold, regex, max_states)
+    fingerprint = _fingerprint(raw, fold, regex, max_states)
     if cache is not None and not isinstance(cache, ArtifactCache):
         cache = ArtifactCache(cache)
     if cache is not None:
@@ -813,7 +832,7 @@ class ArtifactCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(compiled.fingerprint)
         buf = io.BytesIO()
-        np.savez_compressed(
+        np.savez(
             buf, meta=np.frombuffer(json.dumps(meta).encode(),
                                     dtype=np.uint8), **arrays)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -830,13 +849,12 @@ class ArtifactCache:
         COUNTERS["cache_stores"] += 1
         return path
 
-    def load(self, fingerprint: str) -> Optional[CompiledDictionary]:
-        """Rebuild an artifact by fingerprint, or ``None`` on miss.
-
-        Files of other format versions are never read, and corrupt
-        files and fingerprint mismatches are misses too — the caller
-        recompiles and overwrites.
-        """
+    def read(self, fingerprint: str
+             ) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, object]]]:
+        """The stored ``(arrays, meta)`` of one artifact, or ``None``
+        when the file is missing, unreadable, of another format version
+        or another fingerprint (each counted as a miss).  Decoding is
+        :meth:`load`'s second half."""
         path = self.path_for(fingerprint)
         if not path.exists():
             COUNTERS["cache_misses"] += 1
@@ -850,13 +868,35 @@ class ArtifactCache:
                     raise ValueError("stale table-format version")
                 if meta.get("fingerprint") != fingerprint:
                     raise ValueError("fingerprint mismatch")
-                compiled = compiled_from_arrays(data, meta)
+                arrays = {key: data[key] for key in data.files
+                          if key != "meta"}
         except Exception:
-            COUNTERS["cache_rejects"] += 1
-            COUNTERS["cache_misses"] += 1
+            self._reject()
+            return None
+        return arrays, meta
+
+    def load(self, fingerprint: str) -> Optional[CompiledDictionary]:
+        """Rebuild an artifact by fingerprint, or ``None`` on miss.
+
+        Files of other format versions are never read, and corrupt
+        files, fingerprint mismatches and arrays the decoder refuses
+        are misses too — the caller recompiles and overwrites.
+        """
+        stored = self.read(fingerprint)
+        if stored is None:
+            return None
+        try:
+            compiled = compiled_from_arrays(*stored)
+        except Exception:
+            self._reject()
             return None
         COUNTERS["cache_hits"] += 1
         return compiled
+
+    @staticmethod
+    def _reject() -> None:
+        COUNTERS["cache_rejects"] += 1
+        COUNTERS["cache_misses"] += 1
 
     def __repr__(self) -> str:
         return f"ArtifactCache({str(self.directory)!r})"

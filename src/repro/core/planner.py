@@ -239,7 +239,7 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     **The prefilter rule** — the one place every backend inherits the
     packed screening stage from: when the request is an in-memory block
     whose dictionary is screenable (``screenable=True``, see
-    ``CompiledDictionary.prefilter``) and the input is large enough to
+    ``CompiledDictionary.screenable``) and the input is large enough to
     amortise the chunk fixpoint anyway (the same ``serial_byte_ceiling``
     that gates the kernels), the plan carries ``prefilter=True`` and the
     driver mounts a :class:`~repro.core.scan.pipeline.PrefilterStage`

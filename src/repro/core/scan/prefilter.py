@@ -159,15 +159,22 @@ class PackedPrefilter:
         mask too large to stay cache-resident)."""
         if not cls.supports(patterns, width):
             return None
-        fold = np.ascontiguousarray(fold_table, dtype=np.int64)
+        # One pass over the concatenated patterns: fold the blob, code
+        # every trigram start, then drop the two starts before each
+        # pattern's end, whose trigrams cross into the next pattern.
         w = int(width)
+        lens = np.fromiter(map(len, patterns), dtype=np.int64,
+                           count=len(patterns))
+        fold = np.ascontiguousarray(fold_table, dtype=np.int32)
+        sym = fold[np.frombuffer(b"".join(patterns), dtype=np.uint8)]
+        codes = (sym[:-2] * w + sym[1:-1]) * w + sym[2:]
+        inside = np.ones(sym.size, dtype=bool)
+        ends = np.cumsum(lens)
+        inside[ends - 1] = False
+        inside[ends - 2] = False
         mask = np.zeros(w ** 3, dtype=np.uint8)
-        lens = [len(p) for p in patterns]
-        for p in patterns:
-            sym = fold[np.frombuffer(p, dtype=np.uint8)]
-            codes = (sym[:-2] * w + sym[1:-1]) * w + sym[2:]
-            mask[codes] = 1
-        return cls(mask, fold_table, w, min(lens), max(lens))
+        mask[codes[inside[:codes.size]]] = 1
+        return cls(mask, fold_table, w, int(lens.min()), int(lens.max()))
 
     @property
     def mask_bytes(self) -> int:

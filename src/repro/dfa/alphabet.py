@@ -38,6 +38,9 @@ class FoldMap:
         if bad:
             raise ValueError(
                 f"fold table maps outside [0, {self.width}): {bad[:4]}...")
+        # The table as ``bytes.translate``'s argument: the fold of a
+        # packet-sized input is one C call, no array round trip.
+        object.__setattr__(self, "_translate", bytes(self.table))
 
     # -- application -----------------------------------------------------------
 
@@ -46,8 +49,7 @@ class FoldMap:
 
     def fold_bytes(self, data: bytes) -> bytes:
         """Fold an input stream; result bytes are symbol ids < width."""
-        arr = np.frombuffer(data, dtype=np.uint8)
-        return self.np_table[arr].tobytes()
+        return bytes(data).translate(self._translate)
 
     def fold_symbols(self, data: bytes) -> np.ndarray:
         """Fold to a numpy array of symbol ids (for the numpy engine)."""

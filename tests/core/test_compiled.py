@@ -39,6 +39,23 @@ class TestFingerprint:
         assert fingerprint_dictionary(
             [b"abc"], identity_fold(), False, 1000) != base
 
+    def test_values_are_stable(self):
+        # Pinned digests: a changed value would orphan every artifact
+        # already in a cache.
+        assert fingerprint_dictionary(
+            [b"virus", "worm", bytearray(b"trojan")], case_fold_32(),
+            False, 1 << 30) == ("e4244a711120a6cd9ad6247ced9c8757"
+                                "cf341a9a7382878a69dcfd2b96d7c48f")
+        assert fingerprint_dictionary(
+            ["a.*b"], identity_fold(), True, 500) == (
+                "dbd8e5995bcd7ddef7848883fbfc352a"
+                "c61dcf1b6162a5fa15cfdb377f3a7bf0")
+
+    def test_compile_uses_the_same_fingerprint(self):
+        patterns = [b"virus", "worm", bytearray(b"trojan")]
+        assert compile_dictionary(patterns).fingerprint == \
+            fingerprint_dictionary(patterns, case_fold_32(), False, 1 << 30)
+
     def test_length_prefix_prevents_concat_collisions(self):
         fold = case_fold_32()
         assert fingerprint_dictionary([b"ab", b"c"], fold, False, 9) != \
@@ -348,6 +365,83 @@ class TestCodec:
             json.dumps(meta).encode(), dtype=np.uint8), **arrays)
         cache.directory.mkdir(parents=True, exist_ok=True)
         cache.path_for(built.fingerprint).write_bytes(buf.getvalue())
+        before = dict(COUNTERS)
+        assert cache.load(built.fingerprint) is None
+        assert COUNTERS["cache_rejects"] == before["cache_rejects"] + 1
+
+
+def _write_compressed(cache, compiled, fingerprint=None,
+                      version=TABLE_FORMAT_VERSION):
+    """Write ``compiled`` the way earlier stores of this format did:
+    ``savez_compressed``, under ``fingerprint``'s key."""
+    arrays, scalars = compiled_arrays(compiled)
+    meta = {"magic": "repro-compiled-dictionary", "version": version,
+            **scalars}
+    buf = io.BytesIO()
+    np.savez_compressed(buf, meta=np.frombuffer(
+        json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    path = cache.path_for(fingerprint or compiled.fingerprint)
+    path.write_bytes(buf.getvalue())
+    return path
+
+
+class TestArtifactStorage:
+    """Stores write uncompressed members; files an earlier store of the
+    same format version compressed still load."""
+
+    PATTERNS = [b"virus", b"worm", b"trojan horse"]
+
+    @pytest.mark.parametrize("name", ["exact-one-slice", "exact-sliced"])
+    def test_fresh_store_writes_stored_members(self, name, tmp_path):
+        import zipfile
+        cache = ArtifactCache(tmp_path)
+        built = compile_dictionary(**DICTIONARIES[name])
+        with zipfile.ZipFile(cache.store(built)) as zf:
+            infos = zf.infolist()
+        assert infos
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+
+    @pytest.mark.parametrize("name", sorted(DICTIONARIES))
+    def test_compressed_file_is_a_hit(self, name, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        built = compile_dictionary(**DICTIONARIES[name])
+        _write_compressed(cache, built)
+        before = dict(COUNTERS)
+        loaded = cache.load(built.fingerprint)
+        assert loaded is not None
+        assert COUNTERS["cache_hits"] == before["cache_hits"] + 1
+        assert COUNTERS["automaton_builds"] == before["automaton_builds"]
+        want, want_scalars = compiled_arrays(built)
+        got, got_scalars = compiled_arrays(loaded)
+        assert got_scalars == want_scalars
+        assert sorted(got) == sorted(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_compressed_corrupt_file_is_a_miss(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        built = compile_dictionary(self.PATTERNS)
+        path = _write_compressed(cache, built)
+        path.write_bytes(path.read_bytes()[:-64])
+        before = dict(COUNTERS)
+        assert cache.load(built.fingerprint) is None
+        assert COUNTERS["cache_rejects"] == before["cache_rejects"] + 1
+
+    def test_compressed_stale_version_is_a_miss(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        built = compile_dictionary(self.PATTERNS)
+        _write_compressed(cache, built, version=TABLE_FORMAT_VERSION - 1)
+        before = dict(COUNTERS)
+        assert cache.load(built.fingerprint) is None
+        assert COUNTERS["cache_rejects"] == before["cache_rejects"] + 1
+
+    def test_compressed_mismatched_fingerprint_is_a_miss(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        built = compile_dictionary(self.PATTERNS)
+        other = compile_dictionary([b"unrelated"])
+        _write_compressed(cache, other, fingerprint=built.fingerprint)
         before = dict(COUNTERS)
         assert cache.load(built.fingerprint) is None
         assert COUNTERS["cache_rejects"] == before["cache_rejects"] + 1

@@ -148,3 +148,38 @@ class TestNpTableCache:
         assert a.np_table is not b.np_table
         assert a.np_table[200] == 200
         assert b.np_table[200] == 0
+
+
+class TestFoldBytesTranslate:
+    """``fold_bytes`` folds through ``bytes.translate``; it must agree
+    with the numpy gather through ``np_table`` on every byte value and
+    every bytes-like input."""
+
+    FOLDS = {
+        "case_fold_32": case_fold_32,
+        "identity": identity_fold,
+        "classes": lambda: fold_from_classes(
+            [range(0x30, 0x3A), range(0x41, 0x5B), b"\r\n", b""],
+            default=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FOLDS))
+    def test_every_byte_value_matches_numpy(self, name):
+        fold = self.FOLDS[name]()
+        data = bytes(range(256)) * 3
+        want = fold.np_table[np.frombuffer(data, dtype=np.uint8)].tobytes()
+        for view in (data, bytearray(data), memoryview(data)):
+            got = fold.fold_bytes(view)
+            assert type(got) is bytes
+            assert got == want
+
+    @pytest.mark.parametrize("name", sorted(FOLDS))
+    def test_empty_input(self, name):
+        fold = self.FOLDS[name]()
+        for view in (b"", bytearray(), memoryview(b"")):
+            assert fold.fold_bytes(view) == b""
+
+    def test_memoryview_slice(self):
+        fold = case_fold_32()
+        data = memoryview(b"xxViRuSyy")[2:7]
+        assert fold.fold_bytes(data) == fold.fold_bytes(b"virus")

@@ -323,6 +323,24 @@ class TestConcurrentReloads:
                 f"generation {gen} reported {matches}"
 
 
+class TestReloadBuildsOnlyWhatIsUsed:
+    def test_small_scan_after_reload_builds_no_prefilter(self):
+        """A warm RELOAD followed by a packet-sized SCAN must not build
+        the new generation's trigram mask: no plan that small mounts
+        the screening stage."""
+        service = ScanService(["virus", "worm"],
+                              config=ServiceConfig(port=0))
+        with ServiceThread(service) as handle:
+            with ServiceClient(handle.host, handle.port) as client:
+                assert client.reload(["virus", "trojan"]).generation == 2
+                assert client.scan(b"a virus, a trojan " * 40).matches \
+                    == 80
+                active = service._fleet.replica.registry.active
+                assert active.gen_id == 2
+                assert active.compiled.screenable
+                assert not active.compiled._prefilter_built
+
+
 class TestLoadGenerator:
     def test_scan_mode_closed_loop(self):
         with running_service(["virus", "worm"]) as handle:
