@@ -516,7 +516,7 @@ def _cmd_info(args) -> int:
     print("registered scan backends:")
     for name, section, description in backend_specs():
         print(f"  {name:<10s} {description} — {section}")
-    print("staged scan pipeline:")
+    print("block screening:")
     print("  prefilter  packed trigram screening skips clean regions "
           "before any block kernel (screenable exact dictionaries; "
           "--no-prefilter / ScanRequest(prefilter=False) disables)")

@@ -24,11 +24,18 @@ streaming  double-buffered staging ring, bounded-memory streams     Fig. 5
 cellsim    exact counts + cycle-accounted Cell model (Table 1 v4)   §4/T1
 ========== ======================================================== =======
 
+``chunked``, ``fused`` and ``hotcold2`` are one block-scan body over
+the :class:`~repro.core.scan.kernels.ScanKernel` each names in its
+``kernel`` attribute; ``cellsim`` is ``chunked`` plus the model.
+
 New execution strategies (GPU, thread pools, network shards) are new
 ``@register_backend`` entries, not new forks of the matcher.  Backend
 *selection* is the execution planner's job
-(:func:`repro.core.planner.plan_backend`); :func:`execute` glues the
-two together and stamps wall-clock timing onto the outcome.
+(:func:`repro.core.planner.plan_backend`).  :func:`execute` glues the
+two together: when the plan mounts the packed prefilter it screens the
+block and verifies the candidate windows with the backend's own
+kernel, else it runs the backend on the whole input, and it stamps
+wall-clock timing onto the outcome.
 """
 
 from __future__ import annotations
@@ -109,11 +116,11 @@ class ScanRequest:
     #: one way to force a kernel, wins.
     fuse: bool = True
     #: Packed-prefilter escape hatch: ``None`` lets the planner mount
-    #: the screening stage on large screenable blocks, ``False``
-    #: disables it (``repro scan --no-prefilter``), ``True`` demands it
-    #: (block input and a screenable dictionary required).  Unlike
-    #: ``fuse`` this one is honoured for explicitly named backends too —
-    #: the stage sits in front of whichever kernel runs.
+    #: the screen on large screenable blocks, ``False`` disables it
+    #: (``repro scan --no-prefilter``), ``True`` demands it (block
+    #: input and a screenable dictionary required).  Unlike ``fuse``
+    #: this one is honoured for explicitly named backends too — the
+    #: screen sits in front of whichever kernel runs.
     prefilter: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -169,8 +176,8 @@ class ScanContext:
     def batch_kernel_name(self) -> str:
         """The whole-dictionary kernel of the ``pooled`` and
         ``streaming`` backends, which also verifies the prefilter's
-        candidate windows when the planned backend has no verify
-        kernel of its own (``pooled``): the planner's
+        candidate windows in front of them (they name no
+        :attr:`ScanBackend.kernel` of their own): the planner's
         :func:`~repro.core.planner.batch_kernel` rule."""
         c = self.compiled
         return batch_kernel(c.supports_hot_cold, c.num_slices,
@@ -218,10 +225,20 @@ class ScanBackend:
     #: Paper section / figure this strategy reproduces.
     paper_section: str = ""
     description: str = ""
+    #: The :class:`~repro.core.scan.kernels.ScanKernel` this backend
+    #: runs on a block — and so the one that verifies the prefilter's
+    #: candidate windows in front of it (``None``: the context's
+    #: :meth:`~ScanContext.batch_kernel_name`; ``serial`` walks each
+    #: window instead).
+    kernel: Optional[str] = None
 
     def scan(self, ctx: ScanContext,
              request: ScanRequest) -> ScanOutcome:  # pragma: no cover
         raise NotImplementedError
+
+    def annotate(self, ctx: ScanContext, outcome: ScanOutcome) -> None:
+        """Attach the fields this backend reports whichever path
+        counted: the bare scan or the prefilter's verified windows."""
 
     def _require_kind(self, request: ScanRequest) -> None:
         if request.kind not in self.kinds:
@@ -309,36 +326,46 @@ class SerialBackend(ScanBackend):
                             {"slices": ctx.compiled.num_slices})
 
 
+class _KernelBackend(ScanBackend):
+    """The one body of the in-process block backends: the
+    :attr:`~ScanBackend.kernel` over the whole block from its start
+    state, counts only.  Subclasses differ in the kernel they name and
+    in the table fields :meth:`table_stats` reports."""
+
+    def table_stats(self, kern) -> Dict[str, object]:
+        """Backend-specific fields of a bare outcome's stats."""
+        return {}
+
+    def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
+        self._require_kind(request)
+        arr = np.frombuffer(request.data, dtype=np.uint8)
+        kern = ctx.kernel(self.kernel)
+        kern.reset_stats()
+        total = kern.count_total(arr) if arr.size else 0
+        return ScanOutcome(
+            total_matches=total,
+            bytes_scanned=arr.size,
+            backend=self.name,
+            stats={"slices": ctx.compiled.num_slices,
+                   "chunks": kern.chunks,
+                   **self.table_stats(kern)})
+
+
 @register_backend
-class ChunkedBackend(ScanBackend):
+class ChunkedBackend(_KernelBackend):
     """In-process speculative fixpoint: the input is cut into lockstep
     pieces scanned from guessed entry states over the fold-composed
     flat table, wrong guesses repaired to convergence — the paper's §4
     inner loop at host speed, single process."""
 
     name = "chunked"
-    kinds = ("block",)
+    kernel = "flat"
     paper_section = "§4 (flag-encoded STT inner loop)"
     description = "single-process speculative fixpoint, counts only"
 
-    #: Speculation granularity floor (widened to scan.base.LANES_TARGET on
-    #: large inputs).
-    chunks = 256
-
-    def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
-        self._require_kind(request)
-        arr = np.frombuffer(request.data, dtype=np.uint8)
-        total = ctx.kernel("flat").count_total(arr, self.chunks)
-        return ScanOutcome(
-            total_matches=total,
-            bytes_scanned=arr.size,
-            backend=self.name,
-            stats={"slices": ctx.compiled.num_slices,
-                   "chunks": self.chunks})
-
 
 @register_backend
-class FusedBackend(ScanBackend):
+class FusedBackend(_KernelBackend):
     """Fused multi-slice fixpoint: every slice's flat table stacked into
     one contiguous array with per-DFA cell bases, lanes = slices ×
     chunks, one strip-mined gather per input position advancing all of
@@ -346,30 +373,16 @@ class FusedBackend(ScanBackend):
     partitioned into, where the chunked path pays O(D·n)."""
 
     name = "fused"
-    kinds = ("block",)
+    kernel = "fused"
     paper_section = "§6 (series tiles, fused onto host lanes)"
     description = "one pass over the input for every slice (stacked STT)"
 
-    #: Per-DFA speculation granularity, same meaning as the chunked
-    #: backend's (widened to scan.base.LANES_TARGET on large inputs).
-    chunks = 256
-
-    def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
-        self._require_kind(request)
-        arr = np.frombuffer(request.data, dtype=np.uint8)
-        kern = ctx.kernel("fused")
-        total = kern.count_total(arr, self.chunks) if arr.size else 0
-        return ScanOutcome(
-            total_matches=total,
-            bytes_scanned=arr.size,
-            backend=self.name,
-            stats={"slices": ctx.compiled.num_slices,
-                   "chunks": self.chunks,
-                   "fused_cells": int(kern.table.flat.size)})
+    def table_stats(self, kern) -> Dict[str, object]:
+        return {"fused_cells": int(kern.table.flat.size)}
 
 
 @register_backend
-class HotCold2Backend(ScanBackend):
+class HotCold2Backend(_KernelBackend):
     """Two-byte-stride union scan: the hot/cold union automaton's
     hottest states squared into a pair-symbol table (one gather
     advances two input bytes — the paper's §4 loop unrolling pushed
@@ -378,35 +391,20 @@ class HotCold2Backend(ScanBackend):
     accounting."""
 
     name = "hotcold2"
-    kinds = ("block",)
+    kernel = "hotcold2"
     paper_section = "§4 (unrolled inner loop as a pair-symbol table)"
     description = "pair-symbol hot table, two input bytes per gather"
 
-    #: Speculation granularity floor, widened to
-    #: scan.base.HOTCOLD_LANES_TARGET on large inputs.
-    chunks = 256
-
-    def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
-        self._require_kind(request)
-        arr = np.frombuffer(request.data, dtype=np.uint8)
-        kern = ctx.kernel("hotcold2")
-        kern.reset_stats()
-        total = kern.count_total(arr, self.chunks)
+    def table_stats(self, kern) -> Dict[str, object]:
         t = kern.table
         kstats = kern.stats()
-        return ScanOutcome(
-            total_matches=total,
-            bytes_scanned=arr.size,
-            backend=self.name,
-            stats={"slices": ctx.compiled.num_slices,
-                   "chunks": self.chunks,
-                   "union_states": t.num_states,
-                   "hot2_states": t.num_hot2,
-                   "hot2_bytes": t.hot2_bytes,
-                   "table_bytes": t.table_bytes,
-                   "hot_hit_rate": kstats["hot_hit_rate"],
-                   "cold_steps": kstats["cold_steps"],
-                   "escapes": kstats["escapes"]})
+        return {"union_states": t.num_states,
+                "hot2_states": t.num_hot2,
+                "hot2_bytes": t.hot2_bytes,
+                "table_bytes": t.table_bytes,
+                "hot_hit_rate": kstats["hot_hit_rate"],
+                "cold_steps": kstats["cold_steps"],
+                "escapes": kstats["escapes"]}
 
 
 @register_backend
@@ -462,33 +460,34 @@ class StreamingBackend(ScanBackend):
 
 
 @register_backend
-class CellSimBackend(ScanBackend):
+class CellSimBackend(ChunkedBackend):
     """Cycle-accounted reference: exact counts via the in-process
     engine, plus the modelled cost of running the same scan on the
     paper's machine — Table-1 v4 cycles per transition, one SPE tile
     per dictionary slice — attached as metadata."""
 
     name = "cellsim"
-    kinds = ("block",)
     paper_section = "§4 / Table 1 (modelled Cell execution)"
     description = "exact counts + modelled Cell cycle accounting"
 
     version = 4
 
     def scan(self, ctx: ScanContext, request: ScanRequest) -> ScanOutcome:
+        outcome = super().scan(ctx, request)
+        self.annotate(ctx, outcome)
+        return outcome
+
+    def annotate(self, ctx: ScanContext, outcome: ScanOutcome) -> None:
         from ..analysis.models import (PAPER_TABLE1,
                                        gbps_from_cycles_per_transition)
         from ..cell.spu import CLOCK_HZ
 
-        self._require_kind(request)
-        outcome = get_backend("chunked").scan(ctx, request)
         cpt = PAPER_TABLE1[self.version].cycles_per_transition
         # Series slices occupy separate SPEs and scan concurrently, so
         # the modelled makespan is one tile's pass over the input.
         per_tile_transitions = outcome.bytes_scanned
         transitions = per_tile_transitions * ctx.compiled.num_slices
         modelled_seconds = per_tile_transitions * cpt / CLOCK_HZ
-        outcome.backend = self.name
         outcome.stats.update({
             "kernel_version": self.version,
             "cycles_per_transition": cpt,
@@ -497,21 +496,9 @@ class CellSimBackend(ScanBackend):
             "modelled_gbps": gbps_from_cycles_per_transition(cpt),
             "spes_used": ctx.compiled.num_slices,
         })
-        return outcome
 
 
 # -- driver ------------------------------------------------------------------------
-
-#: Exact-verification kernel behind each block backend — what the
-#: prefilter stage counts candidate windows with, so the screened path
-#: runs the same inner loop the bare backend would.
-_VERIFY_KERNELS = {
-    "chunked": "flat",
-    "cellsim": "flat",
-    "fused": "fused",
-    "hotcold2": "hotcold2",
-}
-
 
 def _validate_request(ctx: ScanContext, request: ScanRequest) -> None:
     """Reject contradictory flag combinations with one error naming the
@@ -535,8 +522,8 @@ def _plan(ctx: ScanContext, request: ScanRequest,
           backend: Optional[str]):
     """Resolve one request to an :class:`ExecutionPlan`.  An explicit
     backend name wins outright; only the ``prefilter`` hatch is still
-    honoured for it, because the screening stage sits *in front of*
-    whichever kernel runs rather than replacing it."""
+    honoured for it, because the screen sits *in front of* whichever
+    kernel runs rather than replacing it."""
     name = backend or "auto"
     if name != "auto":
         from .planner import ExecutionPlan
@@ -558,64 +545,43 @@ def _plan(ctx: ScanContext, request: ScanRequest,
                         screenable=screenable)
 
 
-def _segment_runner(ctx: ScanContext, request: ScanRequest, plan):
-    """The prefilter stage's verifier: run the disjoint candidate
-    windows through the same kernel family the bare backend would use
-    (or the serial backend's scalar walk per window, shifting event
-    offsets back into block coordinates)."""
+def _verify(ctx: ScanContext, request: ScanRequest, chosen: ScanBackend,
+            arr: np.ndarray, segments: np.ndarray,
+            pstats: Dict) -> ScanOutcome:
+    """Count the prefilter's disjoint candidate windows with the kernel
+    the chosen backend runs on a whole block (the serial backend
+    replays its scalar walk per window, events in block coordinates),
+    then let the backend :meth:`~ScanBackend.annotate` the outcome."""
     from .scan.prefilter import count_segments
 
-    def run_segments(arr: np.ndarray, segments: np.ndarray,
-                     pstats: Dict) -> ScanOutcome:
-        stats: Dict[str, object] = {"slices": ctx.compiled.num_slices,
-                                    "prefilter": pstats}
-        if plan.backend == "serial":
-            return _serial_scan(ctx.compiled, arr, segments.tolist(),
-                                plan.backend, request.with_events, stats)
-        kname = _VERIFY_KERNELS.get(plan.backend,
-                                    ctx.batch_kernel_name())
-        kern = ctx.kernel(kname)
-        kern.reset_stats()
-        total = count_segments(kern, arr, segments)
-        stats["kernel"] = kname
-        return ScanOutcome(
-            total_matches=total,
-            bytes_scanned=arr.size,
-            backend=plan.backend,
-            workers=request.workers,
-            stats=stats)
-
-    return run_segments
-
-
-def build_pipeline(ctx: ScanContext, request: ScanRequest, plan,
-                   chosen: ScanBackend):
-    """Assemble one request's explicit stage pipeline: the packed
-    prefilter stage when the plan mounts it, then the terminal backend
-    stage.  The returned pipeline is inspectable (``describe()``) — it
-    *is* the execution strategy, not a trace of one."""
-    from .scan.pipeline import (BackendStage, PrefilterStage,
-                                ScanPipeline)
-
-    stages: List = []
-    if plan.prefilter and request.kind == "block":
-        pf = ctx.compiled.prefilter()
-        if pf is not None:
-            arr = np.frombuffer(request.data, dtype=np.uint8)
-            stages.append(PrefilterStage(
-                pf, arr, _segment_runner(ctx, request, plan)))
-    stages.append(BackendStage(plan.backend,
-                               lambda: chosen.scan(ctx, request)))
-    return ScanPipeline(stages)
+    stats: Dict[str, object] = {"slices": ctx.compiled.num_slices,
+                                "prefilter": pstats}
+    if chosen.name == "serial":
+        return _serial_scan(ctx.compiled, arr, segments.tolist(),
+                            chosen.name, request.with_events, stats)
+    kname = chosen.kernel or ctx.batch_kernel_name()
+    kern = ctx.kernel(kname)
+    kern.reset_stats()
+    total = count_segments(kern, arr, segments)
+    stats["kernel"] = kname
+    outcome = ScanOutcome(
+        total_matches=total,
+        bytes_scanned=arr.size,
+        backend=chosen.name,
+        workers=request.workers,
+        stats=stats)
+    chosen.annotate(ctx, outcome)
+    return outcome
 
 
 def execute(ctx: ScanContext, request: ScanRequest,
             backend: Optional[str] = None) -> ScanOutcome:
     """Run one request: validate its flags, resolve a plan
-    (``None``/``"auto"`` asks the execution planner), assemble the
-    stage pipeline, run it, and stamp the measured wall-clock onto the
-    outcome.  Notes left by declining stages (a fallen-through
-    prefilter's screening stats) are merged into the outcome's stats."""
+    (``None``/``"auto"`` asks the execution planner), screen the block
+    when the plan mounts the prefilter, then either verify the
+    candidate windows or run the backend on the whole input, and stamp
+    the measured wall-clock onto the outcome.  A screen that falls
+    through (too dense to pay) still reports its stats."""
     _validate_request(ctx, request)
     plan = _plan(ctx, request, backend)
     chosen = get_backend(plan.backend)
@@ -623,10 +589,30 @@ def execute(ctx: ScanContext, request: ScanRequest,
         raise BackendError(
             f"backend {chosen.name!r} cannot report match events; use "
             f"the serial backend (workers=1)")
-    pipeline = build_pipeline(ctx, request, plan, chosen)
+    pf = (ctx.compiled.prefilter()
+          if plan.prefilter and request.kind == "block" else None)
     t0 = time.perf_counter()
-    outcome = pipeline.run()
+    outcome = pstats = None
+    if pf is not None:
+        arr = np.frombuffer(request.data, dtype=np.uint8)
+        res = pf.screen(arr)
+        pstats = {
+            "mask_bytes": pf.mask_bytes,
+            "stride": pf.stride,
+            "positions": res.positions,
+            "hits": res.hits,
+            "segments": int(len(res.segments)),
+            "candidate_bytes": res.candidate_bytes,
+            "candidate_fraction": (res.candidate_bytes / arr.size
+                                   if arr.size else 0.0),
+            "fall_through": res.fall_through,
+        }
+        if not res.fall_through:
+            outcome = _verify(ctx, request, chosen, arr, res.segments,
+                              pstats)
+    if outcome is None:
+        outcome = chosen.scan(ctx, request)
+        if pstats is not None:
+            outcome.stats.setdefault("prefilter", pstats)
     outcome.seconds = time.perf_counter() - t0
-    for key, val in pipeline.notes.items():
-        outcome.stats.setdefault(key, val)
     return outcome

@@ -479,7 +479,7 @@ class CompiledDictionary:
         return self._screenable
 
     def prefilter(self) -> Optional[PackedPrefilter]:
-        """The packed trigram screening stage for this dictionary, or
+        """The packed trigram screen for this dictionary, or
         ``None`` when it is not :attr:`screenable`.  Built on the first
         request that mounts it and cached."""
         if not self._prefilter_built:

@@ -237,15 +237,15 @@ def plan_backend(nbytes: Optional[int] = None, streaming: bool = False,
     its hot set ends.
 
     **The prefilter rule** — the one place every backend inherits the
-    packed screening stage from: when the request is an in-memory block
-    whose dictionary is screenable (``screenable=True``, see
+    packed screen from: when the request is an in-memory block whose
+    dictionary is screenable (``screenable=True``, see
     ``CompiledDictionary.screenable``) and the input is large enough to
     amortise the chunk fixpoint anyway (the same ``serial_byte_ceiling``
-    that gates the kernels), the plan carries ``prefilter=True`` and the
-    driver mounts a :class:`~repro.core.scan.pipeline.PrefilterStage`
-    in front of whichever kernel was chosen.  ``prefilter`` is the
-    escape hatch (``repro scan --no-prefilter`` /
-    ``ScanRequest(prefilter=False)``); ``True`` demands the stage.
+    that gates the kernels), the plan carries ``prefilter=True`` and
+    :func:`~repro.core.backends.execute` screens the block first, then
+    verifies the candidate windows with the chosen backend's kernel.
+    ``prefilter`` is the escape hatch (``repro scan --no-prefilter`` /
+    ``ScanRequest(prefilter=False)``); ``True`` demands the screen.
     Stream and file requests never screen — candidate windows cannot be
     carried across staging-ring refills without re-reading the input.
     """

@@ -1,5 +1,5 @@
-"""Staged scan-kernel package: one module per inner loop, a shared
-driver, and the staged-pipeline machinery:
+"""Scan-kernel package: one module per inner loop, a shared driver,
+the kernel registry and the packed prefilter:
 
 * :mod:`.base` — tuning constants and strip-loop helpers;
 * :mod:`.flat` — flag-encoded flat STT + single-DFA scanner;
@@ -12,8 +12,7 @@ driver, and the staged-pipeline machinery:
 * :mod:`.bundle` — :class:`SharedArrayBundle`, the one shared-memory
   export/attach path every kernel uses;
 * :mod:`.kernels` — the :class:`ScanKernel` protocol and registry;
-* :mod:`.prefilter` — packed multi-byte fingerprint screening stage;
-* :mod:`.pipeline` — explicit staged :class:`ScanPipeline` assembly;
+* :mod:`.prefilter` — packed multi-byte fingerprint screening;
 * :mod:`.walk` — the scalar single-stream walk over one slice DFA.
 
 Import scan names from this package (or the module defining them).

@@ -1,8 +1,8 @@
-"""Packed multi-byte fingerprint prefilter — the pipeline's screening stage.
+"""Packed multi-byte fingerprint prefilter: the screen before the kernels.
 
 The exact kernels pay one gather (or one pair-gather) per input byte no
 matter what the input looks like.  But most real traffic is *clean*:
-long stretches containing no dictionary substring at all.  This stage
+long stretches containing no dictionary substring at all.  The prefilter
 screens those stretches out with pure numpy-wide arithmetic — far
 cheaper per byte than a DFA step — and hands only the surviving
 candidate windows to the exact kernel.
@@ -29,16 +29,15 @@ double counting and no misses.  Exactness is differential-tested in
 
 On adversarial high-match-density input the mask stops rejecting and
 screening would only add overhead — :meth:`PackedPrefilter.screen`
-reports that as ``fall_through`` and the pipeline runs the bare kernel
+reports that as ``fall_through`` and ``execute`` runs the bare kernel
 instead, so the worst case costs one cheap vector pass, never a slower
 scan.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -54,7 +53,7 @@ MASK_CEILING_BYTES = 1 << 20
 #: Trigram screening needs at least 3 bytes of every pattern.
 MIN_PATTERN_LEN = 3
 #: Candidate fraction above which screening is declared useless and the
-#: pipeline falls through to the bare kernel (percent).
+#: scan falls through to the bare kernel (percent).
 DENSITY_CEILING_PCT = 50
 #: Dense-padding budget for grouped segment verification (bytes).
 GROUP_BUDGET_BYTES = 8 << 20
@@ -134,8 +133,6 @@ class PackedPrefilter:
         pair = pair.reshape(-1, 2)
         self._pair01 = np.ascontiguousarray(
             self._t0[pair[:, 0]] + self._t1[pair[:, 1]])
-        self.stats = {"blocks": 0, "fall_throughs": 0, "clean_blocks": 0,
-                      "bytes_screened": 0, "bytes_verified": 0}
 
     # -- construction -------------------------------------------------------------
 
@@ -180,11 +177,6 @@ class PackedPrefilter:
     def mask_bytes(self) -> int:
         return int(self.mask.nbytes)
 
-    @property
-    def selectivity(self) -> float:
-        """Fraction of possible trigrams the mask admits."""
-        return float(self.mask.mean())
-
     # -- screening ----------------------------------------------------------------
 
     def screen(self, arr: np.ndarray) -> ScreenResult:
@@ -196,10 +188,7 @@ class PackedPrefilter:
         whole block).
         """
         n = int(arr.size)
-        self.stats["blocks"] += 1
-        self.stats["bytes_screened"] += n
         if n < MIN_PATTERN_LEN:
-            self.stats["clean_blocks"] += 1
             return ScreenResult(np.empty((0, 2), dtype=np.int64),
                                 0, 0, 0, False)
         # Sample first, fold second: only every stride-th trigram is
@@ -224,7 +213,6 @@ class PackedPrefilter:
         pos = (np.concatenate(hits).astype(np.int64) * step if hits
                else np.empty(0, dtype=np.int64))
         if pos.size == 0:
-            self.stats["clean_blocks"] += 1
             return ScreenResult(np.empty((0, 2), dtype=np.int64),
                                 positions, 0, 0, False)
         # Merge hits into runs: gaps above 2×maxlen guarantee the grown
@@ -238,10 +226,7 @@ class PackedPrefilter:
         seg_hi = np.minimum(run_hi + self.maxlen, n)
         segments = np.stack([seg_lo, seg_hi], axis=1)
         candidate = int((seg_hi - seg_lo).sum())
-        self.stats["bytes_verified"] += candidate
         fall_through = candidate > n * _density_ceiling()
-        if fall_through:
-            self.stats["fall_throughs"] += 1
         return ScreenResult(segments, positions, int(pos.size),
                             candidate, fall_through)
 

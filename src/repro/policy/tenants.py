@@ -17,8 +17,10 @@ Because a ruleset binds to pattern/slice layout, the compiled binding
 is keyed by ``(policy generation, dictionary generation)`` and rebuilt
 lazily on first use after either side swaps; bindings of retired pairs
 are dropped.  A rule-free tenant's scan path is the plain registry
-lease + session scan — bit-identical to the tenant-less daemon path,
-which the differential suite pins.
+lease + session scan — bit-identical to a bare
+:class:`~repro.service.sessions.SessionScanner` and to ``execute``,
+which the differential suite pins — so a service replica serves its
+default dictionary as the rule-free tenant ``""``.
 
 :class:`TenantManager` is a service replica's name → tenant table; the
 daemon's control plane compiles and binds for it once, then hands the
@@ -79,8 +81,6 @@ class Tenant:
                  max_flows: int = 65536, session_policy: str = "lru",
                  clock: Callable[[], float] = time.monotonic,
                  compiled=None, first_generation: int = 1) -> None:
-        if not name:
-            raise TenantError("tenant needs a name")
         # Imported lazily: the daemon imports this module, so a
         # module-level import of repro.service would be circular when
         # repro.policy is imported first.
@@ -198,9 +198,8 @@ class Tenant:
 
     def scan(self, request: ScanRequest,
              backend: Optional[str] = None) -> Tuple[ScanOutcome, int]:
-        """One-shot stateless scan through this tenant's dictionary —
-        the same ``execute`` call the tenant-less path runs, on the
-        tenant's leased generation."""
+        """One-shot stateless scan: ``execute`` on the tenant's leased
+        generation.  Returns ``(outcome, generation)``."""
         with self.registry.lease() as gen:
             outcome = execute(gen.ctx, request, backend)
             return outcome, gen.gen_id
@@ -263,7 +262,9 @@ class Tenant:
 
 
 class TenantManager:
-    """A replica's name → :class:`Tenant` table.
+    """A replica's name → :class:`Tenant` table (the default dictionary
+    is the rule-free entry ``""``; callers that take names from outside
+    refuse the empty one).
 
     Tenants share the flow-table defaults; everything else —
     dictionary, policy, verdict state, metrics identity — is

@@ -2,9 +2,10 @@
 
 :class:`DataPlane` is the single implementation of the data verbs
 (``SCAN``, ``FLOW``, ``CLOSE_FLOW``) and :func:`error_reply` the single
-error taxonomy.  :class:`Replica` adds the registry, tenants and
-metrics around one ``DataPlane``, and is the single implementation of
-the control ops the daemon's control plane fans out.  The daemon
+error taxonomy.  :class:`Replica` adds the scopes (the default
+dictionary is the rule-free tenant ``""``) and metrics around one
+``DataPlane``, and is the single implementation of the control ops the
+daemon's control plane fans out.  The daemon
 serves through :class:`LocalFleet` (one replica in-process) or
 :class:`~repro.service.pool.WorkerPool` (one replica per worker
 process, the paper's SPE).  There the gateway (PPE) compiles each
@@ -40,14 +41,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
-from ..core.backends import BackendError, ScanRequest, execute
+from ..core.backends import BackendError, ScanRequest
 from ..core.compiled import COUNTERS, CompileError, compiled_from_arrays
 from ..core.scan.bundle import SharedArrayBundle
 from ..policy.rules import PolicyError, RuleSet
 from ..policy.tenants import TenantError, TenantManager
 from .metrics import ServiceMetrics
 from .protocol import ProtocolError
-from .registry import DictionaryRegistry, RegistryError
+from .registry import RegistryError
 from .sessions import FlowError
 
 __all__ = ["DataPlane", "LocalFleet", "Replica", "WorkerOpError",
@@ -88,128 +89,103 @@ def error_reply(exc: BaseException) -> Dict[str, str]:
 
 class DataPlane:
     """The one implementation of the data verbs — ``SCAN``, ``FLOW``
-    and ``CLOSE_FLOW`` — over a dictionary registry, a tenant manager
-    and a metrics sink.
+    and ``CLOSE_FLOW`` — over a replica's scopes and a metrics sink.
 
     A pool worker serves these ops from its own process; the
     in-process daemon runs the very same object on its scan thread
     pool.  Each op takes the request ``meta`` dict (``tenant``,
     ``flow``, ``backend``, ``events``) plus the payload
     and returns the reply header fields (the caller adds ``id`` and
-    ``ok``).  Everything here is thread-safe: leases and session
-    tables lock internally and :class:`ServiceMetrics` is
-    lock-guarded.
+    ``ok``).  Every op has one body: the default dictionary is the
+    rule-free scope ``""``, so it runs the tenant path and only its
+    reply fields differ (no ``tenant`` or ``action``) and no
+    per-tenant metrics are recorded for it.  Everything here is
+    thread-safe: leases and session tables lock internally and
+    :class:`ServiceMetrics` is lock-guarded.
     """
 
-    def __init__(self, registry: DictionaryRegistry,
-                 tenants: TenantManager, metrics: ServiceMetrics,
+    def __init__(self, tenants: TenantManager, metrics: ServiceMetrics,
                  max_events: int) -> None:
-        self.registry = registry
         self.tenants = tenants
         self.metrics = metrics
         self.max_events = max_events
 
-    def _tenant(self, name: Optional[str]):
-        return self.tenants.get(str(name)) if name else None
-
     def scan(self, meta: Dict, payload: bytes) -> Dict:
-        tenant = self._tenant(meta.get("tenant"))
+        tenant = self.tenants.get(meta.get("tenant") or "")
         with_events = bool(meta.get("events"))
-        request = ScanRequest(data=payload, with_events=with_events)
-        registry = tenant.registry if tenant is not None else self.registry
-        with registry.lease() as gen:
-            outcome = execute(gen.ctx, request, meta.get("backend"))
-            self.metrics.record_scan(
-                outcome.backend, outcome.seconds,
-                outcome.bytes_scanned, outcome.total_matches)
-            header: Dict[str, object] = {
-                "generation": gen.gen_id,
-                "matches": outcome.total_matches,
-                "bytes": outcome.bytes_scanned,
-                "backend": outcome.backend,
-                "seconds": outcome.seconds,
-            }
-            if tenant is not None:
-                self.metrics.record_tenant_request(
-                    tenant.name, outcome.bytes_scanned,
-                    outcome.total_matches)
-                header["tenant"] = tenant.name
-            if with_events and outcome.events is not None:
-                cap = self.max_events
-                header["events"] = [[e.end, e.pattern]
-                                    for e in outcome.events[:cap]]
-                if len(outcome.events) > cap:
-                    header["events_truncated"] = \
-                        len(outcome.events) - cap
-            return header
+        outcome, gen_id = tenant.scan(
+            ScanRequest(data=payload, with_events=with_events),
+            meta.get("backend"))
+        self.metrics.record_scan(
+            outcome.backend, outcome.seconds,
+            outcome.bytes_scanned, outcome.total_matches)
+        header: Dict[str, object] = {
+            "generation": gen_id,
+            "matches": outcome.total_matches,
+            "bytes": outcome.bytes_scanned,
+            "backend": outcome.backend,
+            "seconds": outcome.seconds,
+        }
+        if tenant.name:
+            self.metrics.record_tenant_request(
+                tenant.name, outcome.bytes_scanned, outcome.total_matches)
+            header["tenant"] = tenant.name
+        if with_events and outcome.events is not None:
+            cap = self.max_events
+            header["events"] = [[e.end, e.pattern]
+                                for e in outcome.events[:cap]]
+            if len(outcome.events) > cap:
+                header["events_truncated"] = len(outcome.events) - cap
+        return header
 
     def flow(self, meta: Dict, payload: bytes) -> Dict:
         flow_id = meta["flow"]
-        tenant = self._tenant(meta.get("tenant"))
-        if tenant is not None:
-            t0 = time.perf_counter()
-            verdict, gen_id, evicted = tenant.scan_packet(flow_id,
-                                                          payload)
-            seconds = time.perf_counter() - t0
-            self.metrics.record_scan("flow", seconds, len(payload),
-                                     verdict.new_matches)
+        tenant = self.tenants.get(meta.get("tenant") or "")
+        t0 = time.perf_counter()
+        verdict, gen_id, evicted = tenant.scan_packet(flow_id, payload)
+        seconds = time.perf_counter() - t0
+        self.metrics.record_scan("flow", seconds, len(payload),
+                                 verdict.new_matches)
+        self.metrics.record_flow_evictions(evicted)
+        header: Dict[str, object] = {
+            "generation": gen_id,
+            "flow": flow_id,
+            "matches": verdict.new_matches,
+            "flow_total": verdict.flow_total,
+            "bytes": len(payload),
+            "seconds": seconds,
+        }
+        if tenant.name:
             self.metrics.record_tenant_request(
                 tenant.name, len(payload), verdict.new_matches)
             self.metrics.record_verdict(tenant.name, verdict.action,
                                         verdict.seconds)
-            self.metrics.record_flow_evictions(evicted)
-            header: Dict[str, object] = {
-                "generation": gen_id,
-                "tenant": tenant.name,
-                "flow": flow_id,
-                "matches": verdict.new_matches,
-                "flow_total": verdict.flow_total,
-                "bytes": len(payload),
-                "seconds": seconds,
-                "action": verdict.action,
-            }
-            if verdict.rule is not None:
-                header["rule"] = verdict.rule
-            if verdict.triggered:
-                header["triggered"] = list(verdict.triggered)
-            return header
-        with self.registry.lease() as gen:
-            t0 = time.perf_counter()
-            new, total, evicted = gen.sessions.scan_packet(flow_id,
-                                                           payload)
-            seconds = time.perf_counter() - t0
-            self.metrics.record_scan("flow", seconds, len(payload), new)
-            self.metrics.record_flow_evictions(evicted)
-            return {"generation": gen.gen_id,
-                    "flow": flow_id,
-                    "matches": new,
-                    "flow_total": total,
-                    "bytes": len(payload),
-                    "seconds": seconds}
+            header["tenant"] = tenant.name
+            header["action"] = verdict.action
+        if verdict.rule is not None:
+            header["rule"] = verdict.rule
+        if verdict.triggered:
+            header["triggered"] = list(verdict.triggered)
+        return header
 
     def close_flow(self, meta: Dict, payload: bytes) -> Dict:
         flow_id = meta["flow"]
-        tenant = self._tenant(meta.get("tenant"))
-        if tenant is not None:
-            nbytes, matches, action = tenant.close_flow(flow_id)
-            header = {"generation": tenant.registry.generation,
-                      "tenant": tenant.name,
-                      "flow": flow_id,
-                      "bytes_seen": nbytes,
-                      "matches": matches}
-            if action is not None:
-                header["action"] = action
-            return header
-        with self.registry.lease() as gen:
-            nbytes, matches = gen.sessions.close_flow(flow_id)
-            return {"generation": gen.gen_id,
-                    "flow": flow_id,
-                    "bytes_seen": nbytes,
-                    "matches": matches}
+        tenant = self.tenants.get(meta.get("tenant") or "")
+        nbytes, matches, action = tenant.close_flow(flow_id)
+        header = {"generation": tenant.registry.generation,
+                  "flow": flow_id,
+                  "bytes_seen": nbytes,
+                  "matches": matches}
+        if tenant.name:
+            header["tenant"] = tenant.name
+        if action is not None:
+            header["action"] = action
+        return header
 
 
 class Replica:
-    """One serving replica: a dictionary registry, its tenants, a
+    """One serving replica: its scopes — the default dictionary as the
+    rule-free tenant ``""`` beside the named tenants — a
     :class:`DataPlane` over their sessions and the metrics it records.
 
     Each control op has one body, run by both serving modes on
@@ -218,21 +194,20 @@ class Replica:
     """
 
     def __init__(self, config, compiled, generation: int) -> None:
-        self.registry = DictionaryRegistry(
-            compiled=compiled, first_generation=generation,
-            max_flows=config.max_flows,
-            session_policy=config.session_policy)
         self.tenants = TenantManager(max_flows=config.max_flows,
                                      session_policy=config.session_policy)
+        #: The default scope's registry.
+        self.registry = self.tenants.create(
+            "", compiled=compiled, first_generation=generation).registry
         self.metrics = ServiceMetrics()
-        self.data = DataPlane(self.registry, self.tenants, self.metrics,
+        self.data = DataPlane(self.tenants, self.metrics,
                               config.max_events)
 
     def install(self, scope: str, compiled, generation: int) -> Dict:
         """Promote ``compiled`` as ``scope``'s generation
         ``generation``; flow sessions carry across."""
-        target = self.tenants.get(scope) if scope else self.registry
-        result = target.load_compiled(compiled, generation=generation)
+        result = self.tenants.get(scope).load_compiled(
+            compiled, generation=generation)
         # The control plane records the end-to-end reload in its own
         # metrics; recording here too would double-count in STATS.
         return {"generation": result.generation,
@@ -256,8 +231,7 @@ class Replica:
     def stats(self) -> Dict:
         """This replica's share of STATS: raw metrics, and per scope the
         session and verdict counters the control plane sums."""
-        sessions = {"": self.registry.active.sessions.stats()}
-        verdicts = {}
+        sessions, verdicts = {}, {}
         for name in self.tenants.names():
             tenant = self.tenants.get(name)
             sessions[name] = tenant.registry.active.sessions.stats()
@@ -270,7 +244,6 @@ class Replica:
                 "pid": os.getpid()}
 
     def close(self) -> None:
-        self.registry.close()
         self.tenants.close()
 
 

@@ -112,6 +112,78 @@ class TestOutcomeShape:
         assert out.bytes_scanned == 6
 
 
+class TestDriverContract:
+    """What ``execute`` promises on each path: a bare outcome carries
+    its backend's own stats keys, and a screened block is verified with
+    the very kernel the backend runs on a whole block."""
+
+    #: Stats keys of each backend's bare outcome.
+    BARE_KEYS = {
+        "serial": {"slices"},
+        "chunked": {"slices", "chunks"},
+        "fused": {"slices", "chunks", "fused_cells"},
+        "hotcold2": {"slices", "chunks", "union_states", "hot2_states",
+                     "hot2_bytes", "table_bytes", "hot_hit_rate",
+                     "cold_steps", "escapes"},
+        "pooled": {"buffers", "bytes", "kernel", "repaired_shards",
+                   "tasks"},
+        "streaming": {"buffers", "bytes", "kernel", "repaired_shards",
+                      "tasks"},
+        "cellsim": {"slices", "chunks", "kernel_version",
+                    "cycles_per_transition", "transitions",
+                    "modelled_seconds", "modelled_gbps", "spes_used"},
+    }
+    #: The modelled-Cell fields ``cellsim`` attaches.
+    MODEL_KEYS = BARE_KEYS["cellsim"] - BARE_KEYS["chunked"]
+    #: A sparse block: the screen keeps a few windows, never falls
+    #: through.
+    DATA = (b"xx virus yy worm zz" + b"\x01" * 2000) * 20
+
+    @pytest.fixture(scope="class")
+    def screen_ctx(self):
+        compiled = compile_dictionary(
+            [b"virus", b"worm", b"trojan", b"attack", b"backdoor",
+             b"exploit"], max_states=30)
+        assert compiled.num_slices > 1
+        with ScanContext(compiled) as c:
+            yield c
+
+    def test_bare_stats_keys(self, screen_ctx):
+        assert set(backend_names()) == set(self.BARE_KEYS)
+        for name, keys in self.BARE_KEYS.items():
+            out = execute(screen_ctx,
+                          ScanRequest(data=self.DATA, prefilter=False),
+                          backend=name)
+            assert set(out.stats) == keys, name
+
+    @pytest.mark.parametrize("name,kernel", [
+        ("chunked", "flat"), ("cellsim", "flat"), ("fused", "fused"),
+        ("hotcold2", "hotcold2"), ("pooled", None)])
+    def test_screened_block_verifies_with_backend_kernel(
+            self, screen_ctx, name, kernel):
+        out = execute(screen_ctx,
+                      ScanRequest(data=self.DATA, prefilter=True),
+                      backend=name)
+        assert out.stats["prefilter"]["fall_through"] is False
+        assert out.stats["prefilter"]["segments"] >= 1
+        assert out.stats["kernel"] == \
+            (kernel or screen_ctx.batch_kernel_name())
+        assert out.backend == name
+        assert out.total_matches == 40
+
+    def test_screened_cellsim_keeps_the_cell_model(self, screen_ctx):
+        bare = execute(screen_ctx,
+                       ScanRequest(data=self.DATA, prefilter=False),
+                       backend="cellsim")
+        screened = execute(screen_ctx,
+                           ScanRequest(data=self.DATA, prefilter=True),
+                           backend="cellsim")
+        assert screened.stats["prefilter"]["fall_through"] is False
+        assert screened.total_matches == bare.total_matches == 40
+        assert {k: screened.stats.get(k) for k in self.MODEL_KEYS} == \
+            {k: bare.stats[k] for k in self.MODEL_KEYS}
+
+
 def _random_corpus(rng, length):
     """Corpora biased toward fold-boundary bytes (0x40-0x5F, where the
     32-symbol case fold aliases '@'..'_' onto letters) and pattern

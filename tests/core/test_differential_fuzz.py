@@ -1,7 +1,7 @@
-"""Differential fuzz over the staged scan pipeline.
+"""Differential fuzz over the scan driver.
 
-Every registered kernel and every pipeline shape (bare, screened,
-fallen-through) must be *bit-identical* — counts AND exit states — on
+Every registered kernel and every path through ``execute`` (bare,
+screened, fallen-through) must be *bit-identical* — counts AND exit states — on
 seeded randomized corpora across slice counts D ∈ {1, 2, 4, 8},
 including adversarial high-match-density inputs where the packed
 prefilter must fall through rather than slow the scan down.  Also locks
@@ -28,8 +28,7 @@ WORDS = [b"virus", b"worm", b"trojan", b"attack", b"backdoor",
 
 SLICE_TARGETS = (1, 2, 4, 8)
 
-#: Block backends whose pipelines are compared with and without the
-#: screening stage.
+#: Block backends compared with and without the prefilter screen.
 BLOCK_BACKENDS = ["serial", "chunked", "fused", "hotcold2"]
 
 _COMPILED = {}
@@ -107,8 +106,8 @@ class TestKernelFuzz:
 
 
 class TestPipelineFuzz:
-    """The assembled pipelines — with and without the screening stage —
-    agree with each other and across every block backend."""
+    """Bare and screened scans agree with each other and across every
+    block backend."""
 
     @pytest.mark.parametrize("slices", (2, 4))
     def test_screened_pipelines_match_bare(self, slices):

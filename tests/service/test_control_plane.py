@@ -7,6 +7,9 @@ import threading
 import time
 from contextlib import contextmanager
 
+import pytest
+
+from repro.policy import TenantError
 from repro.service import (ConsistentHashRing, ScanService, ServiceClient,
                            ServiceConfig, ServiceError, ServiceThread)
 
@@ -76,6 +79,68 @@ class TestStatsParity:
         assert stats["pool"]["flows"] == 8
         assert stats["registry"]["sessions"]["max_flows"] == \
             2 * ServiceConfig().max_flows
+
+
+class TestDefaultScope:
+    """Replicas serve the default dictionary as the rule-free scope
+    ``""``: its replies carry exactly the default path's keys, it never
+    shows up as a tenant, and an empty name stays refused wherever a
+    name comes from outside."""
+
+    SCAN_KEYS = {"id", "ok", "generation", "matches", "bytes", "backend",
+                 "seconds"}
+    FLOW_KEYS = {"id", "ok", "generation", "flow", "matches", "flow_total",
+                 "bytes", "seconds"}
+    CLOSE_KEYS = {"id", "ok", "generation", "flow", "bytes_seen",
+                  "matches"}
+
+    @pytest.mark.parametrize("pool_workers", [0, 1])
+    def test_default_scope_replies_keep_their_keys(self, pool_workers):
+        with running(pool_workers) as client:
+            scan = client.request({"verb": "SCAN"}, b"a virus").header
+            flow = client.request({"verb": "FLOW", "flow": "f1"},
+                                  b"a worm").header
+            close = client.request({"verb": "CLOSE_FLOW",
+                                    "flow": "f1"}).header
+            stats = client.stats()
+        assert set(scan) == self.SCAN_KEYS
+        assert set(flow) == self.FLOW_KEYS
+        assert set(close) == self.CLOSE_KEYS
+        assert (scan["matches"], flow["matches"], close["matches"]) == \
+            (1, 1, 1)
+        assert stats["tenants"] == {}
+        assert stats["metrics"]["tenants"] == {}
+
+    @pytest.mark.parametrize("pool_workers", [0, 1])
+    def test_rule_free_tenant_flow_names_tenant_and_action(
+            self, pool_workers):
+        with running(pool_workers) as client:
+            client.tenant_create("acme", ["virus"])
+            flow = client.request({"verb": "FLOW", "flow": "f1",
+                                   "tenant": "acme"}, b"a virus").header
+            stats = client.stats()
+        assert set(flow) == self.FLOW_KEYS | {"tenant", "action"}
+        assert (flow["tenant"], flow["action"]) == ("acme", "forward")
+        assert sorted(stats["tenants"]) == ["acme"]
+        assert sorted(stats["metrics"]["tenants"]) == ["acme"]
+
+    @pytest.mark.parametrize("pool_workers", [0, 1])
+    def test_empty_tenant_name_refused(self, pool_workers):
+        with running(pool_workers) as client:
+            for header in ({"verb": "TENANT", "op": "create", "name": ""},
+                           {"verb": "TENANT", "op": "delete", "name": ""},
+                           {"verb": "POLICY", "op": "set", "tenant": "",
+                            "rules": []}):
+                with pytest.raises(ServiceError) as err:
+                    client.request(header)
+                assert err.value.code == "bad-request", header
+            # The default scope is still served.
+            assert client.scan(b"a virus").matches == 1
+            assert "" not in client.stats()["tenants"]
+
+    def test_empty_tenant_name_refused_at_startup(self):
+        with pytest.raises(TenantError, match="needs a name"):
+            ScanService(PATTERNS, tenants={"": {"patterns": ["alpha"]}})
 
 
 class TestControlOpsSerialized:
