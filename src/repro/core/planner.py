@@ -30,7 +30,8 @@ from .stt import row_stride
 __all__ = ["TilePlan", "plan_tile", "FIGURE3_CASES", "PlanError",
            "CODE_STACK_BYTES", "COUNTER_AREA_BYTES", "STATE_AREA_BYTES",
            "ExecutionPlan", "plan_backend", "batch_kernel",
-           "SERIAL_BYTE_CEILING", "CACHE_BUDGET_BYTES"]
+           "SERIAL_BYTE_CEILING", "CACHE_BUDGET_BYTES",
+           "INLINE_WALK_STEPS", "runs_inline"]
 
 #: Local-store bytes the paper reserves for code and stack.
 CODE_STACK_BYTES = 34 * 1024
@@ -156,6 +157,19 @@ FIGURE3_CASES: List[TilePlan] = [
 #: Below this many bytes the chunked fixpoint's setup cost dominates and
 #: the serial reference walk wins (counts-only, single worker).
 SERIAL_BYTE_CEILING = 1 << 20
+
+#: Walk steps (bytes × slices) a data op may cost to run on the
+#: service's event loop instead of its scan thread pool.  The scalar
+#: walk holds the GIL, so a pool thread buys it no parallelism, only a
+#: thread hop as costly as a packet's scan — but while an inline op
+#: runs, every connection waits.  The walk costs one step per byte per
+#: slice: ~30–45 ns a step for a FLOW and ~40–70 ns for a serial SCAN
+#: (which also collects events) on the dictionaries
+#: ``benchmarks/bench_inline.py`` measures (sig2k at D=1 and D=4,
+#: kw40k at D=7), so this budget keeps the worst inline op under
+#: ~0.5 ms on a 2-vCPU host; ``BENCH_inline.json`` records it.  A
+#: 1,500-byte packet on an unpartitioned dictionary fits four times.
+INLINE_WALK_STEPS = 6 * 1024
 
 #: Host cache ceiling for the *plain* fused table — the planner's
 #: analogue of the tile planner's 256 KB local store.  When the stacked
@@ -300,3 +314,20 @@ def _choose_backend(nbytes: Optional[int], streaming: bool, workers: int,
     return ExecutionPlan(
         "serial", "small single-worker input; reference walk is "
         "cheapest and reports per-pattern counts")
+
+
+def runs_inline(nbytes: int, num_slices: int, forced: bool,
+                with_events: bool) -> bool:
+    """Whether one service data op (a SCAN, FLOW or CLOSE_FLOW) is a
+    walk cheap enough to run on the event loop.
+
+    A forced backend or an events request keeps the scan pool, and so
+    does any op whose walk would take more than
+    :data:`INLINE_WALK_STEPS` steps: one per byte per slice, so a
+    bytes-only bound would let a deeply partitioned dictionary stall
+    the loop ``num_slices`` times longer.  The budget sits far below
+    :data:`SERIAL_BYTE_CEILING`, so an auto SCAN within it is one
+    :func:`plan_backend` gives the serial walk.
+    """
+    return not forced and not with_events and \
+        nbytes * num_slices <= INLINE_WALK_STEPS

@@ -159,15 +159,17 @@ class VerdictEngine:
               binding: Optional[CompiledRuleSet]) -> PacketVerdict:
         """Judge one packet given its scan detail and the tenant's
         currently bound ruleset (``None`` = rule-free tenant: the
-        packet forwards and no flow state is created)."""
+        packet forwards, no flow state is created and nothing is
+        timed, so its ``seconds`` stay 0.0)."""
+        if binding is None or not binding.rules:
+            if detail.evicted:
+                self.drop_flows(detail.evicted)
+            return PacketVerdict(action="forward",
+                                 new_matches=detail.new,
+                                 flow_total=detail.flow_total)
         t0 = time.perf_counter()
         if detail.evicted:
             self.drop_flows(detail.evicted)
-        if binding is None or not binding.rules:
-            return PacketVerdict(action="forward",
-                                 new_matches=detail.new,
-                                 flow_total=detail.flow_total,
-                                 seconds=time.perf_counter() - t0)
         with self._lock:
             verdict = self._judge(flow_id, detail, binding)
             self.action_totals[verdict.action] = \

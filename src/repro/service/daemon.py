@@ -7,8 +7,16 @@ the *next* dictionary compiles and swaps in underneath — dynamic STT
 replacement (§6) serving live requests instead of a modelled schedule.
 The layering is the paper's PPE/SPE split, whatever the process count:
 
-* the event loop owns connections, framing and admission control — it
-  never touches a DFA;
+* the event loop owns connections, framing and admission control.
+  In-process, it also runs the packet-sized walks itself: a FLOW, a
+  CLOSE_FLOW or a planner-chosen serial SCAN whose walk fits
+  :data:`~repro.core.planner.INLINE_WALK_STEPS` (bytes × slices, no
+  forced backend, no events) skips the scan-thread hop, which costs as
+  much as the walk and buys no parallelism for GIL-bound Python.  It
+  does so only while no pooled FLOW or CLOSE_FLOW and no control op is
+  in flight, so it never waits on a session or verdict lock.  Every
+  other data op, every compile and every walk-row build stays off the
+  loop;
 * :class:`ControlPlane` is the PPE.  It holds each scope's compiled
   dictionary and generation (scope ``""`` is the default dictionary,
   any other a tenant) and each tenant's ruleset.  ``RELOAD``,
@@ -81,7 +89,9 @@ class ServiceConfig:
     port: int = 0                     # 0 = let the OS pick
     #: Default backend for SCAN (``None`` = execution planner).
     backend: Optional[str] = None
-    #: Admission control: concurrent scan requests in flight.
+    #: Admission control: data requests in flight per target — the
+    #: ops queued on or running in the scan threads (or a worker), plus
+    #: the one inline walk the event loop may be running.
     max_pending: int = 64
     #: ``"reject"`` sheds load immediately; ``"wait"`` queues up to
     #: ``request_timeout`` seconds.
@@ -89,7 +99,9 @@ class ServiceConfig:
     request_timeout: float = 5.0
     #: Grace period for in-flight requests at shutdown.
     drain_timeout: float = 10.0
-    #: Threads executing scans (numpy releases the GIL in the hot loop).
+    #: Threads executing the data ops that do not run inline on the
+    #: event loop: block scans (numpy releases the GIL in the hot
+    #: loop), forced backends, events and walks over the loop's budget.
     scan_threads: int = 4
     #: Flow-session table bound and eviction policy per generation.
     max_flows: int = 65536

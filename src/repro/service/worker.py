@@ -43,6 +43,7 @@ from typing import Dict, List, Optional
 
 from ..core.backends import BackendError, ScanRequest
 from ..core.compiled import COUNTERS, CompileError, compiled_from_arrays
+from ..core.planner import runs_inline
 from ..core.scan.bundle import SharedArrayBundle
 from ..policy.rules import PolicyError, RuleSet
 from ..policy.tenants import TenantError, TenantManager
@@ -92,13 +93,15 @@ class DataPlane:
     and ``CLOSE_FLOW`` — over a replica's scopes and a metrics sink.
 
     A pool worker serves these ops from its own process; the
-    in-process daemon runs the very same object on its scan thread
-    pool.  Each op takes the request ``meta`` dict (``tenant``,
-    ``flow``, ``backend``, ``events``) plus the payload
-    and returns the reply header fields (the caller adds ``id`` and
-    ``ok``).  Every op has one body: the default dictionary is the
-    rule-free scope ``""``, so it runs the tenant path and only its
-    reply fields differ (no ``tenant`` or ``action``) and no
+    in-process daemon runs the very same object, on its event loop
+    when :func:`~repro.core.planner.runs_inline` says the op is a
+    walk within the loop's budget (:meth:`slices` supplies the walk's
+    width), else on its scan thread pool.  Each op takes the request
+    ``meta`` dict (``tenant``, ``flow``, ``backend``, ``events``) plus
+    the payload and returns the reply header fields (the caller adds
+    ``id`` and ``ok``).  Every op has one body: the default dictionary
+    is the rule-free scope ``""``, so it runs the tenant path and only
+    its reply fields differ (no ``tenant`` or ``action``) and no
     per-tenant metrics are recorded for it.  Everything here is
     thread-safe: leases and session tables lock internally and
     :class:`ServiceMetrics` is lock-guarded.
@@ -109,6 +112,12 @@ class DataPlane:
         self.tenants = tenants
         self.metrics = metrics
         self.max_events = max_events
+
+    def slices(self, meta: Dict) -> int:
+        """The active slice count of the op's scope: how many walk
+        steps each payload byte costs."""
+        tenant = self.tenants.get(meta.get("tenant") or "")
+        return tenant.registry.active.compiled.num_slices
 
     def scan(self, meta: Dict, payload: bytes) -> Dict:
         tenant = self.tenants.get(meta.get("tenant") or "")
@@ -250,8 +259,29 @@ class Replica:
 class LocalFleet:
     """In-process serving: a fleet of one :class:`Replica`, behind the
     same surface as :class:`~repro.service.pool.WorkerPool`.  It is its
-    own data target: data ops run on a scan thread pool (numpy releases
-    the GIL in the hot loops), control ops on the control thread."""
+    own data target.  A data op that
+    :func:`~repro.core.planner.runs_inline` calls a walk within budget
+    runs on the event loop itself: the scalar walk holds the GIL, so a
+    thread hop would add its cost and no parallelism.  Every other
+    data op — forced backends, events, block plans, walks over budget
+    — runs on the scan thread pool (numpy releases the GIL in the hot
+    loops); control ops run on the control thread.
+
+    The loop must never wait on a lock another thread holds for a
+    walk's length.  A pooled FLOW holds its scope's session and verdict
+    locks for its whole walk, and a control op may hold them while it
+    carries sessions across a swap; an inline op could need either
+    (directly, or through the drain hook of a retired generation's
+    last lease).  So nothing runs inline while a pooled FLOW or
+    CLOSE_FLOW, or a control op, is in flight: those ops go to the
+    pool as before.  The rows a walk reads are built with the
+    dictionary, on the control thread, so the first inline op after
+    startup or a RELOAD builds nothing on the loop.
+
+    ``depth`` counts the pooled ops in flight.  An inline op holds its
+    admission slot only while it runs, and nothing else on the loop
+    runs meanwhile, so ``max_pending`` bounds the pooled ops plus the
+    one inline op that is running."""
 
     alive = True
 
@@ -264,31 +294,68 @@ class LocalFleet:
             thread_name_prefix="repro-scan")
         self.cap = self._config.max_pending
         self.depth = 0
+        # Ops in flight that can hold a session or verdict lock: pooled
+        # FLOW/CLOSE_FLOW and control ops.  Loop-only, like ``depth``.
+        self._lockers = 0
         self.replica: Optional[Replica] = None
 
     async def start(self, compiled, generation: int) -> None:
+        def _replica():
+            _warm(compiled)
+            return Replica(self._config, compiled, generation)
+
         self.replica = await asyncio.get_running_loop().run_in_executor(
-            self._executor, Replica, self._config, compiled, generation)
+            self._executor, _replica)
 
     def target(self, tenant: str = "", flow_id=None) -> "LocalFleet":
         return self
 
     def call(self, kind: str, meta: Dict, payload=b"") -> "asyncio.Future":
+        loop = asyncio.get_running_loop()
+        op = getattr(self.replica.data, kind)
+        if self._inline(meta, payload):
+            fut = loop.create_future()
+            try:
+                fut.set_result(op(meta, payload))
+            except Exception as exc:    # classified by the daemon
+                fut.set_exception(exc)
+            return fut
+        locks = kind != "scan"
         self.depth += 1
-        fut = asyncio.get_running_loop().run_in_executor(
-            self._scan_pool, getattr(self.replica.data, kind), meta,
-            payload)
-        fut.add_done_callback(self._done)
+        self._lockers += locks
+        fut = loop.run_in_executor(self._scan_pool, op, meta, payload)
+        fut.add_done_callback(functools.partial(self._done, locks))
         return fut
 
-    def _done(self, _fut) -> None:
+    def _inline(self, meta: Dict, payload) -> bool:
+        if self._lockers:
+            return False
+        try:
+            slices = self.replica.data.slices(meta)
+        except TenantError:
+            return False    # the pooled op raises the same error
+        return runs_inline(
+            len(payload), slices,
+            forced=meta.get("backend") not in (None, "auto"),
+            with_events=bool(meta.get("events")))
+
+    def _done(self, locks: bool, _fut) -> None:
         self.depth -= 1
+        self._lockers -= locks
 
     async def apply(self, op: str, **kwargs) -> List[Dict]:
         """Run one control op on the replica; returns its one ack."""
-        ack = await asyncio.get_running_loop().run_in_executor(
-            self._executor, functools.partial(
-                getattr(self.replica, op), **kwargs))
+        def _run():
+            if kwargs.get("compiled") is not None:
+                _warm(kwargs["compiled"])
+            return getattr(self.replica, op)(**kwargs)
+
+        self._lockers += 1
+        try:
+            ack = await asyncio.get_running_loop().run_in_executor(
+                self._executor, _run)
+        finally:
+            self._lockers -= 1
         return [ack]
 
     def describe(self, acks: List[Dict]) -> Dict:
@@ -299,6 +366,13 @@ class LocalFleet:
         self._scan_pool.shutdown(wait=True)
         self._metrics.absorb(self.replica.metrics.state())
         self.replica.close()
+
+
+def _warm(compiled) -> None:
+    """Build what an inline op reads lazily from a dictionary — its
+    walk rows and its screenability — so the event loop never does."""
+    compiled.walks()
+    compiled.screenable
 
 
 class _PipeWorker:

@@ -1,4 +1,5 @@
-"""Local-store planning: the Figure 3 layouts."""
+"""Local-store planning: the Figure 3 layouts, and the rule that runs
+packet-sized walks on the service's event loop."""
 
 import pytest
 
@@ -6,8 +7,12 @@ from repro.cell.local_store import LocalStore
 from repro.core.planner import (
     CODE_STACK_BYTES,
     FIGURE3_CASES,
+    INLINE_WALK_STEPS,
+    SERIAL_BYTE_CEILING,
     PlanError,
+    plan_backend,
     plan_tile,
+    runs_inline,
 )
 
 
@@ -83,3 +88,31 @@ class TestPlanTile:
         plan = plan_tile(buffer_bytes=16 * 1024, num_buffers=1)
         assert len(plan.buffer_bases) == 1
         assert plan.max_states > FIGURE3_CASES[0].max_states
+
+
+class TestRunsInline:
+    """Inline means a walk within ``INLINE_WALK_STEPS`` steps, counted
+    as bytes × slices, with no forced backend and no events."""
+
+    def test_walks_within_budget(self):
+        assert runs_inline(INLINE_WALK_STEPS, 1, forced=False,
+                           with_events=False)
+        assert runs_inline(0, 7, forced=False, with_events=False)
+
+    def test_budget_counts_slices(self):
+        nbytes = INLINE_WALK_STEPS // 4 + 1
+        assert runs_inline(nbytes, 1, forced=False, with_events=False)
+        assert not runs_inline(nbytes, 4, forced=False, with_events=False)
+
+    @pytest.mark.parametrize("forced, with_events",
+                             [(True, False), (False, True)])
+    def test_forced_or_events_keep_the_pool(self, forced, with_events):
+        assert not runs_inline(64, 1, forced=forced,
+                               with_events=with_events)
+
+    def test_budget_stays_below_the_serial_ceiling(self):
+        # Every auto SCAN within budget is one the planner gives the
+        # serial walk.
+        assert INLINE_WALK_STEPS <= SERIAL_BYTE_CEILING
+        assert plan_backend(nbytes=INLINE_WALK_STEPS, num_slices=7,
+                            screenable=True).backend == "serial"
